@@ -88,7 +88,6 @@ from .montecarlo import (  # noqa: E402
     ENSEMBLES,
     McConfig,
     McResult,
-    PowerResult,
     mc_experiment,
     sample_matrix,
     spectral_radius,

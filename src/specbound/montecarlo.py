@@ -6,10 +6,9 @@ and aggregates statistics for comparison against the analytic bounds.
 
 Each trial owns an RNG stream derived from (seed, trial index), so
 results are identical no matter how trials are scheduled; aggregation
-sorts by trial index. The largest eigenvalue is found by power
-iteration on v -> H (H v): squaring merges the near-degenerate
-+-lambda pair at the spectral edge into one dominant eigenvalue and
-keeps the implementation dependency-free.
+sorts by trial index. The largest absolute eigenvalue comes from
+LAPACK's symmetric/hermitian eigensolver (``numpy.linalg.eigvalsh``):
+it is exact to roundoff and has no tolerance or iteration cap to tune.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ class McConfig:
     trials: int
     seed: int
     ensemble: str = "real-symmetric"
-    power_tol: float = 1e-11
-    power_max_iter: int = 200_000
 
     def __post_init__(self):
         if not isinstance(self.trials, int) or self.trials < 1:
@@ -46,21 +43,6 @@ class McConfig:
             raise InputError(
                 f"unknown ensemble {self.ensemble!r}; choose from {ENSEMBLES}"
             )
-        if self.power_tol <= 0:
-            raise InputError(f"power_tol must be positive, got {self.power_tol}")
-        if not isinstance(self.power_max_iter, int) or self.power_max_iter < 1:
-            raise InputError(
-                f"power_max_iter must be a positive integer, got {self.power_max_iter!r}"
-            )
-
-
-@dataclass(frozen=True)
-class PowerResult:
-    """Largest absolute eigenvalue estimate with a convergence flag."""
-
-    value: float
-    converged: bool
-    iterations: int
 
 
 @dataclass(frozen=True)
@@ -68,7 +50,7 @@ class McResult:
     """Aggregated largest-eigenvalue statistics.
 
     ``std`` uses the n-1 denominator and is reported as 0 with
-    ``std_defined`` False when fewer than two trials converged.
+    ``std_defined`` False when fewer than two trials succeeded.
     ``elapsed`` is wall-clock seconds and does not take part in
     equality comparisons.
     """
@@ -124,49 +106,27 @@ def sample_matrix(s: VarianceMatrix, ensemble: str,
     return upper + upper.conj().T + diag
 
 
-def spectral_radius(h, tol: float = 1e-11, max_iter: int = 200_000,
-                    rng: np.random.Generator | None = None) -> PowerResult:
+def spectral_radius(h) -> float:
     """Largest absolute eigenvalue of a symmetric/hermitian matrix.
 
-    Power iteration on the squared matrix with a Rayleigh-quotient
-    stopping rule: successive quotients must agree to ``tol``
-    relatively. Non-convergence is reported through the flag, with the
-    best estimate so far, rather than raised.
+    Exact to roundoff, from ``numpy.linalg.eigvalsh``. Raises
+    ``numpy.linalg.LinAlgError`` if the eigensolver does not converge.
     """
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InputError(f"need a square matrix, got shape {h.shape}")
     if not np.allclose(h, h.conj().T, rtol=1e-12, atol=1e-12):
         raise InputError("matrix is not symmetric/hermitian")
-    if rng is None:
-        rng = np.random.default_rng()
-    n = h.shape[0]
-    v = rng.standard_normal(n).astype(h.dtype, copy=False)
-    if np.iscomplexobj(h):
-        v = v + 1j * rng.standard_normal(n)
-    v = v / np.linalg.norm(v)
-    prev = math.inf
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = h @ (h @ v)
-        lam = float(np.vdot(v, w).real)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            # H^2 v = 0 for a random v means H v = 0, hence lambda = 0
-            return PowerResult(0.0, True, it)
-        if abs(lam - prev) <= tol * max(abs(lam), 1e-300):
-            return PowerResult(math.sqrt(max(lam, 0.0)), True, it)
-        prev = lam
-        v = w / norm_w
-    return PowerResult(math.sqrt(max(lam, 0.0)), False, max_iter)
+    return float(np.abs(np.linalg.eigvalsh(h)).max(initial=0.0))
 
 
 def mc_experiment(s: VarianceMatrix, cfg: McConfig) -> McResult:
     """Run ``cfg.trials`` independent samples and aggregate statistics.
 
     Deterministic given (seed, trials, ensemble): every trial draws
-    from its own stream. Trials whose power iteration fails to
-    converge are excluded from the statistics and counted as failures.
+    from its own stream. Trials whose eigensolver fails to converge
+    (``LinAlgError``) are excluded from the statistics and counted as
+    failures.
     """
     start = time.perf_counter()
     values = []
@@ -174,11 +134,9 @@ def mc_experiment(s: VarianceMatrix, cfg: McConfig) -> McResult:
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
         h = sample_matrix(s, cfg.ensemble, rng)
-        out = spectral_radius(h, tol=cfg.power_tol,
-                              max_iter=cfg.power_max_iter, rng=rng)
-        if out.converged:
-            values.append(out.value)
-        else:
+        try:
+            values.append(spectral_radius(h))
+        except np.linalg.LinAlgError:
             failures += 1
     mean = statistics.fmean(values) if values else 0.0
     if len(values) >= 2:

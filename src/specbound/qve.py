@@ -364,20 +364,24 @@ def moment_recursion(s: VarianceMatrix, kmax: int) -> MomentTable:
         c[x, 0] = 1,
         c[x, k] = sum_y S_xy sum_{n=0}^{k-1} c[x, k-1-n] c[y, n].
 
-    Cost is O(kmax^2 n^2).  Raises OverflowGuardError as soon as an
-    entry leaves double-precision range; rescaling S by 1/a rescales
-    c[x, k] by a^-k, so large profiles can be probed after scaling.
+    Each column's product S c[:, m] is computed once and cached, so the
+    cost is O(kmax n^2 + kmax^2 n).  Raises OverflowGuardError as soon
+    as an entry leaves double-precision range; rescaling S by 1/a
+    rescales c[x, k] by a^-k, so large profiles can be probed after
+    scaling.
     """
     if not isinstance(kmax, int) or kmax < 0:
         raise InputError(f"kmax must be a nonnegative integer, got {kmax!r}")
     entries = s.entries
     c = np.zeros((s.n, kmax + 1))
+    sc = np.zeros((s.n, kmax))  # sc[:, m] = S @ c[:, m]
     c[:, 0] = 1.0
     for k in range(1, kmax + 1):
         acc = np.zeros(s.n)
         with np.errstate(over="ignore", invalid="ignore"):
+            sc[:, k - 1] = entries @ c[:, k - 1]
             for m in range(k):
-                acc += c[:, k - 1 - m] * (entries @ c[:, m])
+                acc += c[:, k - 1 - m] * sc[:, m]
         if not np.all(np.isfinite(acc)):
             raise OverflowGuardError(
                 f"moment overflow at k = {k}; rescale the profile and retry"

@@ -1,8 +1,8 @@
 """Dense eigensolver used only as a test oracle.
 
 Cyclic Jacobi rotations on a real symmetric matrix. Deliberately
-independent of the iterative routines under test: no shared code, no
-power iteration, just plane rotations until the off-diagonal mass is
+independent of the routines under test: no shared code, no LAPACK
+eigensolver, just plane rotations until the off-diagonal mass is
 gone. Intended for n <= 60.
 """
 

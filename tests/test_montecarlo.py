@@ -94,25 +94,21 @@ def test_entry_statistics_match_profile(ensemble):
     assert np.all(np.abs(acc_mean / draws) <= err)
 
 
-# ------------------------------------------------------------ power iteration
+# --------------------------------------------------------- spectral radius
 
 def test_spectral_radius_swap_matrix():
-    out = spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]]),
-                          rng=trial_rng(0, 0))
-    assert out.converged
-    assert out.value == pytest.approx(1.0, abs=1e-10)
+    assert spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(
+        1.0, rel=1e-14)
 
 
 def test_spectral_radius_diagonal():
-    out = spectral_radius(np.diag([3.0, -5.0, 2.0]), rng=trial_rng(1, 0))
-    assert out.converged
-    assert out.value == pytest.approx(5.0, abs=1e-9)
+    assert spectral_radius(np.diag([3.0, -5.0, 2.0])) == pytest.approx(5.0, rel=1e-14)
 
 
 def test_spectral_radius_zero_matrix():
-    out = spectral_radius(np.zeros((4, 4)), rng=trial_rng(2, 0))
-    assert out.converged
-    assert out.value == 0.0
+    value = spectral_radius(np.zeros((4, 4)))
+    assert value == 0.0
+    assert isinstance(value, float)
 
 
 def test_spectral_radius_matches_jacobi_oracle():
@@ -120,30 +116,20 @@ def test_spectral_radius_matches_jacobi_oracle():
     for n in (10, 35, 50):
         g = rng.standard_normal((n, n))
         h = (g + g.T) / 2
-        out = spectral_radius(h, rng=trial_rng(5, n))
-        assert out.converged
-        assert out.value == pytest.approx(jacobi_spectral_radius(h), abs=1e-8)
+        assert spectral_radius(h) == pytest.approx(jacobi_spectral_radius(h),
+                                                   rel=1e-12)
 
 
 def test_spectral_radius_complex_hermitian_matches_oracle():
     h = sample_matrix(exp_profile(30), "complex-hermitian", trial_rng(8, 1))
-    out = spectral_radius(h, rng=trial_rng(8, 2))
-    assert out.converged
-    assert out.value == pytest.approx(jacobi_spectral_radius(h), abs=1e-8)
-
-
-def test_spectral_radius_nonconvergence_returns_flagged_estimate():
-    h = sample_matrix(exp_profile(40), "real-symmetric", trial_rng(4, 0))
-    out = spectral_radius(h, max_iter=1, rng=trial_rng(4, 1))
-    assert not out.converged
-    assert out.value >= 0
-    assert math.isfinite(out.value)
-    assert out.iterations == 1
+    assert spectral_radius(h) == pytest.approx(jacobi_spectral_radius(h), rel=1e-12)
 
 
 def test_spectral_radius_rejects_asymmetric_input():
     with pytest.raises(InputError):
-        spectral_radius(np.array([[0.0, 1.0], [2.0, 0.0]]), rng=trial_rng(0, 0))
+        spectral_radius(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(InputError):
+        spectral_radius(np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------- experiment
@@ -155,8 +141,6 @@ def test_config_validation():
         McConfig(trials=2, seed=-1)
     with pytest.raises(InputError):
         McConfig(trials=2, seed=1, ensemble="quaternion")
-    with pytest.raises(InputError):
-        McConfig(trials=2, seed=1, power_tol=0.0)
 
 
 def test_experiment_is_deterministic():
@@ -188,9 +172,21 @@ def test_single_trial_zero_profile():
     assert res.per_trial == (0.0,)
 
 
-def test_failures_are_counted_and_excluded():
-    cfg = McConfig(trials=4, seed=5, power_max_iter=1)
-    res = mc_experiment(exp_profile(30), cfg)
+def test_per_trial_values_are_exact_spectral_radii():
+    s = exp_profile(20)
+    for ensemble in ("real-symmetric", "complex-hermitian"):
+        res = mc_experiment(s, McConfig(trials=3, seed=31, ensemble=ensemble))
+        for trial, value in enumerate(res.per_trial):
+            h = sample_matrix(s, ensemble, trial_rng(31, trial))
+            assert value == pytest.approx(jacobi_spectral_radius(h), rel=1e-12)
+
+
+def test_failures_are_counted_and_excluded(monkeypatch):
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    res = mc_experiment(exp_profile(30), McConfig(trials=4, seed=5))
     assert res.failures == 4
     assert res.per_trial == ()
     assert res.mean == 0.0

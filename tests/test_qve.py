@@ -12,7 +12,12 @@ from specbound.errors import (
     InputError,
     OverflowGuardError,
 )
-from specbound.linalg import VarianceMatrix, exp_profile, wigner_profile
+from specbound.linalg import (
+    VarianceMatrix,
+    exp_profile,
+    random_profile,
+    wigner_profile,
+)
 from specbound.qve import (
     MomentTable,
     SpectralProbe,
@@ -236,6 +241,40 @@ def test_moment_overflow_guard():
     s = VarianceMatrix(np.full((3, 3), 1e80))
     with pytest.raises(OverflowGuardError):
         moment_recursion(s, kmax=5)
+
+
+def moment_recursion_loop(s, kmax):
+    """Reference: the recursion with S @ c[:, m] recomputed for every
+    (k, m) pair, as written in the formula."""
+    c = np.zeros((s.n, kmax + 1))
+    c[:, 0] = 1.0
+    for k in range(1, kmax + 1):
+        acc = np.zeros(s.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(k):
+                acc += c[:, k - 1 - m] * (s.entries @ c[:, m])
+        if not np.all(np.isfinite(acc)):
+            raise OverflowGuardError(f"moment overflow at k = {k}")
+        c[:, k] = acc
+    return c
+
+
+@pytest.mark.parametrize("s", [
+    random_profile(300, seed=7), exp_profile(200), wigner_profile(50),
+], ids=["random300", "exp200", "wigner50"])
+def test_moment_recursion_equals_reference_loop(s):
+    assert np.array_equal(moment_recursion(s, kmax=60).c,
+                          moment_recursion_loop(s, kmax=60))
+
+
+@pytest.mark.parametrize("value", [1000.0, 1e80])
+def test_moment_overflow_at_same_depth_as_reference_loop(value):
+    s = VarianceMatrix(np.full((3, 3), value))
+    with pytest.raises(OverflowGuardError) as ref:
+        moment_recursion_loop(s, kmax=100)
+    with pytest.raises(OverflowGuardError) as got:
+        moment_recursion(s, kmax=100)
+    assert str(got.value).startswith(str(ref.value) + ";")
 
 
 def test_support_proxy_constant_profile_frozen():
