@@ -114,6 +114,9 @@ class NormSequence:
         return len(self.z)
 
 
+_TINY = float(np.finfo(float).tiny)
+
+
 def _row_sums(entries: np.ndarray, vec: np.ndarray) -> np.ndarray:
     # single shared matvec path so that repeated norms divide out exactly
     return entries @ vec
@@ -128,7 +131,10 @@ def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
 
     Uses the iteration u_0 = all-ones, u_j = S u_{j-1} / |S|, for which
     max(u_j) = z_j.  Cost is J matrix-vector products; values are clamped
-    into (0, 1] to absorb roundoff at the top end.
+    into (0, 1] to absorb roundoff at the top end, and floored at the
+    smallest positive normal double where the iteration underflows.
+    z_j is nonincreasing, so the floor is an upper bound on every value
+    it replaces and the bound computed from the sequence stays valid.
     """
     if J < 1:
         raise InputError(f"J must be at least 1, got {J}")
@@ -140,7 +146,7 @@ def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
     z = np.empty(J)
     for j in range(J):
         u = _row_sums(entries, u) / norm
-        z[j] = min(u.max(), 1.0)
+        z[j] = min(max(u.max(), _TINY), 1.0)
     return NormSequence(norm_s=norm, z=z)
 
 

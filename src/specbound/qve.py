@@ -11,8 +11,13 @@ This module solves the system pointwise, scans it over grids to locate
 the support edge, and runs the companion moment recursion together
 with its root-growth support proxy.
 
-Probes at distinct z values are independent; grid scans exploit that
-by iterating whole blocks of shifted points as matrix-matrix products.
+Every solve runs through one kernel: Anderson-accelerated fixed-point
+iteration of m -> -1/(z + S m) on a block of shifted points, iterated
+as matrix-matrix products.  Plain iteration contracts at a rate only
+O(Im z) away from one near the spectrum; the short per-point history
+removes that slow contraction with the same matrix products, so no
+Newton rescue is needed.  A point still unconverged at its update
+budget raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -25,8 +30,13 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, InputError, OverflowGuardError
 from .linalg import VarianceMatrix, inf_norm
 
-_RESCUE_AFTER = 2_000
-_NEWTON_CAP = 60
+# Points iterated together by the block kernel, and the Anderson history
+# kept per point.  Both set the kernel's working memory, about
+# 2 (_DEPTH + 1) _BLOCK n complex numbers on top of the profile.
+_BLOCK = 32
+_DEPTH = 3
+# update budget of density and density_scan
+_MAX_SWEEPS = 300_000
 
 
 @dataclass(frozen=True)
@@ -108,127 +118,97 @@ def _check_z(z) -> complex:
     return z
 
 
-def _newton_step(entries, z, m, tol):
-    """One damped Newton step on G(m) = m + 1/(z + S m).
+def _anderson(entries, zb, m, tol, cap):
+    """Anderson-accelerated fixed-point iteration of m -> -1/(z + S m).
 
-    Returns (m_next, residual_before_step) or (None, residual) when the
-    linear solve fails or no step length keeps m in the upper half-plane.
+    Iterates the columns of ``m`` in place, column j at the shift
+    ``zb[j]``, for at most ``cap`` sweeps, and yields
+    ``(sweep, res, active)`` after each one.  ``res`` holds every
+    column's latest update norm ``max_x |g_x - m_x|`` with
+    ``g = -1/(z + S m)``, and ``active`` marks the columns still
+    iterating; the caller may clear entries of it to abandon columns.
+    A column stops once its update norm is at most tol, holding the
+    iterate whose defect that norm is.
+
+    Every other column moves to ``g - dG gamma``, where dF and dG hold
+    the last _DEPTH differences of the updates ``f = g - m`` and of g,
+    and the complex gamma minimizes ``|(f - dF gamma) / |g||``.  The
+    weight 1/|g| balances the least-squares problem when entries of m
+    differ by orders of magnitude, as at the origin of a rectangular
+    Gram profile.  If that point leaves the upper half-plane, the
+    column takes the plain step g and its history is cleared.  Matrix
+    products are split into two real products, which is faster than
+    one complex product for a real profile.
     """
-    f = 1.0 / (z + entries @ m)
-    g = m + f
-    res = float(np.abs(g).max())
-    if res <= tol:
-        return m, res
-    jac = np.eye(len(m)) - (f * f)[:, None] * entries
-    try:
-        delta = np.linalg.solve(jac, -g)
-    except np.linalg.LinAlgError:
-        return None, res
-    lam = 1.0
-    while lam > 1e-8 and np.min((m + lam * delta).imag) <= 0.0:
-        lam *= 0.5
-    if lam <= 1e-8:
-        return None, res
-    return m + lam * delta, res
-
-
-def _newton_continuation(entries, z, tol):
-    """Solve the system by continuation in the imaginary part of z.
-
-    Starts where plain iteration contracts strongly (Im z = 1), then
-    follows the solution down to the requested point with Newton steps,
-    each level warm-started from the previous one.  Returns
-    (m, steps) on success and (None, steps) on failure.
-    """
-    n = entries.shape[0]
-    target = z.imag
-    etas = [max(1.0, target)]
-    while etas[-1] > 4 * target:
-        etas.append(etas[-1] / 4)
-    if etas[-1] != target:
-        etas.append(target)
-
-    z0 = complex(z.real, etas[0])
-    m = np.full(n, -1.0 / z0)
-    steps = 0
-    for _ in range(200):
-        f = -1.0 / (z0 + entries @ m)
-        steps += 1
-        if np.abs(f - m).max() <= 1e-13:
-            m = f
-            break
-        m = f
-
-    for eta in etas:
-        zc = complex(z.real, eta)
-        converged = False
-        for _ in range(_NEWTON_CAP):
-            m_next, res = _newton_step(entries, zc, m, tol)
-            if m_next is None:
-                return None, steps
-            if res <= tol:
-                converged = True
-                break
-            m = m_next
-            steps += 1
-        if not converged:
-            return None, steps
-    return m, steps
+    n, b = m.shape
+    active = np.ones(b, dtype=bool)
+    res = np.full(b, np.inf)
+    diff_f = np.zeros((b, _DEPTH, n), dtype=complex)
+    diff_g = np.zeros((b, _DEPTH, n), dtype=complex)
+    f_prev = np.zeros((b, n), dtype=complex)
+    g_prev = np.zeros((b, n), dtype=complex)
+    for sweep in range(1, cap + 1):
+        idx = np.flatnonzero(active)
+        if not len(idx):
+            return
+        cols = m[:, idx]
+        g = (-1.0 / (zb[idx] + entries @ cols.real + 1j * (entries @ cols.imag))).T
+        f = g - cols.T
+        r = np.abs(f).max(axis=1)
+        res[idx] = r
+        active[idx[r <= tol]] = False
+        go = r > tol
+        idx, g, f = idx[go], g[go], f[go]
+        hist_f, hist_g = diff_f[idx], diff_g[idx]
+        if sweep > 1:
+            hist_f[:, sweep % _DEPTH] = f - f_prev[idx]
+            hist_g[:, sweep % _DEPTH] = g - g_prev[idx]
+        weight = 1.0 / np.abs(g)
+        wf = hist_f * weight[:, None, :]
+        gram = wf.conj() @ wf.transpose(0, 2, 1)
+        rhs = wf.conj() @ (f * weight)[:, :, None]
+        gamma = np.linalg.pinv(gram, rcond=1e-12, hermitian=True) @ rhs
+        step = g - (gamma.transpose(0, 2, 1) @ hist_g)[:, 0]
+        plain = ~(step.imag > 0).all(axis=1)
+        step[plain] = g[plain]
+        hist_f[plain] = 0.0
+        hist_g[plain] = 0.0
+        diff_f[idx], diff_g[idx] = hist_f, hist_g
+        f_prev[idx], g_prev[idx] = f, g
+        m[:, idx] = step.T
+        yield sweep, res, active
 
 
 def solve_qve(s: VarianceMatrix, z, tol: float = 1e-9,
               max_iter: int = 200_000) -> SpectralProbe:
     """Solve -1/m_x = z + (S m)_x for the upper-half-plane vector m.
 
-    Plain fixed-point iteration from m = -1/z; the update is damped by
-    one half if the residual starts oscillating.  Near the spectrum at
-    small Im z the plain iteration contracts at a rate only O(Im z)
-    away from one, so after a few thousand steps the solver switches to
-    a Newton continuation in Im z and falls back to iterating only if
-    that fails.  Raises ConvergenceError when max_iter update steps did
-    not reach the tolerance, and DomainError when Im z <= 0.
+    Anderson-accelerated fixed-point iteration from m = -1/z, as a
+    block of one column (see _anderson); ``iterations`` counts its
+    update steps.  Raises ConvergenceError when max_iter update steps
+    did not reach the tolerance, and DomainError when Im z <= 0.
     """
     z = _check_z(z)
     if tol <= 0:
         raise InputError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
-    entries = s.entries
-    m = np.full(s.n, -1.0 / z)
-    damping = 1.0
-    prev = math.inf
-    worse = 0
-    res = math.inf
-    it = 0
-    while it < max_iter:
-        it += 1
-        f = -1.0 / (z + entries @ m)
-        res = float(np.abs(f - m).max())
-        if res <= tol:
-            # the defect of the pre-update vector is exactly res
-            return SpectralProbe(z=z, m=m, iterations=it, residual=res)
-        if res > prev * (1 + 1e-12):
-            worse += 1
-            if worse >= 2:
-                damping = 0.5
-        prev = res
-        m = m + damping * (f - m)
-        if it == _RESCUE_AFTER and max_iter > _RESCUE_AFTER:
-            rescued, steps = _newton_continuation(entries, z, tol)
-            if rescued is not None:
-                final = float(np.abs(rescued + 1.0 / (z + entries @ rescued)).max())
-                return SpectralProbe(z=z, m=rescued,
-                                     iterations=it + steps, residual=final)
-    raise ConvergenceError(
-        f"no convergence at z = {z} after {max_iter} iterations "
-        f"(residual {res:.3e})",
-        residual=res,
-        iterations=max_iter,
-    )
+    m = np.full((s.n, 1), -1.0 / z)
+    for it, res, active in _anderson(s.entries, np.array([z]), m, tol, max_iter):
+        pass
+    if active[0]:
+        raise ConvergenceError(
+            f"no convergence at z = {z} after {max_iter} iterations "
+            f"(residual {res[0]:.3e})",
+            residual=float(res[0]),
+            iterations=max_iter,
+        )
+    # the defect of the returned vector is exactly its last update norm
+    return SpectralProbe(z=z, m=m[:, 0], iterations=it, residual=float(res[0]))
 
 
 def density(s: VarianceMatrix, tau: float, eta: float, tol: float = 1e-9,
-            max_iter: int = 300_000) -> float:
+            max_iter: int = _MAX_SWEEPS) -> float:
     """Smoothed spectral density (1/(pi n)) sum_x Im m_x(tau + i eta)."""
     if eta <= 0:
         raise DomainError(f"eta must be positive, got {eta}")
@@ -236,107 +216,83 @@ def density(s: VarianceMatrix, tau: float, eta: float, tol: float = 1e-9,
     return float(probe.m.imag.mean() / math.pi)
 
 
-def _converge_block(entries, zb, m0, tol, cap):
-    """Iterate a block of shifted points at once.
-
-    ``zb`` holds the shifts, ``m0`` one start column per shift.  Returns
-    (M, converged) where converged marks columns whose final update was
-    below tol.  Matrix products are split into two real products, which
-    is faster than one complex product for a real profile.
-    """
-    m_block = m0.astype(complex)
-    active = np.ones(len(zb), dtype=bool)
-    for _ in range(cap):
-        idx = np.flatnonzero(active)
-        cols = m_block[:, idx]
-        sm = entries @ cols.real + 1j * (entries @ cols.imag)
-        fresh = -1.0 / (zb[idx][None, :] + sm)
-        res = np.abs(fresh - cols).max(axis=0)
-        m_block[:, idx] = fresh
-        active[idx[res <= tol]] = False
-        if not active.any():
-            break
-    return m_block, ~active
-
-
 def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3,
-                 tol: float = 1e-9, block: int = 256) -> np.ndarray:
+                 tol: float = 1e-9) -> np.ndarray:
     """Smoothed density at every point of ``taus``, as one array.
 
-    Blocks of points are iterated together; points still unconverged
-    after the block budget (deep inside the spectrum, where plain
-    iteration is slow) are finished one by one with the Newton
-    continuation solver.
+    Blocks of points are iterated together, each point from m = -1/z,
+    with the update budget of :func:`density`.  Raises
+    ConvergenceError naming the first point of a block that is left
+    unconverged.
     """
     if eta <= 0:
         raise DomainError(f"eta must be positive, got {eta}")
-    entries = s.entries
     taus = np.asarray(taus, dtype=float).ravel()
     out = np.empty(len(taus))
-    for start in range(0, len(taus), block):
-        tb = taus[start:start + block]
-        zb = tb + 1j * eta
-        m0 = np.repeat((-1.0 / zb)[None, :], entries.shape[0], axis=0)
-        m_block, converged = _converge_block(entries, zb, m0, tol, cap=4_000)
-        for j in np.flatnonzero(~converged):
-            rescued, _ = _newton_continuation(entries, complex(zb[j]), tol)
-            if rescued is None:
-                probe = solve_qve(s, complex(zb[j]), tol=tol)
-                rescued = probe.m
-            m_block[:, j] = rescued
-        out[start:start + block] = m_block.imag.mean(axis=0) / math.pi
+    for start in range(0, len(taus), _BLOCK):
+        zb = taus[start:start + _BLOCK] + 1j * eta
+        m_block = np.repeat((-1.0 / zb)[None, :], s.n, axis=0)
+        for _, res, active in _anderson(s.entries, zb, m_block, tol, _MAX_SWEEPS):
+            pass
+        if active.any():
+            j = np.flatnonzero(active)[0]
+            raise ConvergenceError(
+                f"density scan stalled at tau = {zb[j].real:.6g} "
+                f"(eta = {eta}, tol = {tol})",
+                residual=float(res[j]),
+                iterations=_MAX_SWEEPS,
+            )
+        out[start:start + _BLOCK] = m_block.imag.mean(axis=0) / math.pi
     return out
 
 
 def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
                      grid_step: float = 1e-3, threshold: float = 1e-2,
-                     tol: float = 1e-8, max_iter: int = 60_000,
-                     block: int = 128) -> SupportEstimate:
+                     tol: float = 1e-8, max_iter: int = 60_000) -> SupportEstimate:
     """Locate the largest grid point where the smoothed density exceeds
     the threshold.
 
-    The grid runs from 0 to one past the row-sum bound and is scanned
-    from the top down in blocks, warm-starting each block from its
-    neighbour.  The moment a converged point exceeds the threshold and
-    every point above it has settled below it, everything further down
-    is abandoned: points deep inside the spectrum, where convergence is
-    slowest, are never iterated to completion.  The zero profile has no
-    spectrum to detect (its density is a spike at the origin that the
-    smoothing would smear past the threshold), so it short-circuits to
-    a not-found result.
+    The grid runs from 0 to one past the row-sum bound B = 2 sqrt(|S|)
+    and is scanned from the top down in blocks, warm-starting each
+    block from its neighbour.  Every m_x is the Stieltjes transform of
+    a probability measure on [-B, B], so above B the density is at
+    most eta / (pi ((tau - B)^2 + eta^2)); the scan starts at the
+    highest grid point where that bound exceeds the threshold.  The
+    moment a converged point exceeds the threshold and every point
+    above it has settled below it, everything further down is
+    abandoned: points deep inside the spectrum are never iterated to
+    completion.  The zero profile has no spectrum to detect (its
+    density is a spike at the origin that the smoothing would smear
+    past the threshold), so it short-circuits to a not-found result.
     """
     if eta <= 0 or grid_step <= 0 or threshold <= 0:
         raise DomainError("eta, grid_step and threshold must be positive")
+    if max_iter < 1:
+        raise InputError(f"max_iter must be at least 1, got {max_iter}")
     entries = s.entries
     norm = inf_norm(s)
     if norm == 0.0:
         return SupportEstimate(0.0, False, eta, grid_step, threshold, 0.0)
-    grid_top = 2.0 * math.sqrt(norm) + 1.0
+    edge = 2.0 * math.sqrt(norm)
+    grid_top = edge + 1.0
     n_pts = int(math.floor(grid_top / grid_step)) + 1
-    taus_desc = np.arange(n_pts - 1, -1, -1, dtype=float) * grid_step
+    reach = edge + math.sqrt(max(eta / (math.pi * threshold) - eta * eta, 0.0))
+    top = min(n_pts - 1, int(math.floor(reach / grid_step)))
+    taus_desc = np.arange(top, -1, -1, dtype=float) * grid_step
     warm = None
 
-    for start in range(0, n_pts, block):
-        tb = taus_desc[start:start + block]
+    for start in range(0, len(taus_desc), _BLOCK):
+        tb = taus_desc[start:start + _BLOCK]
         zb = tb + 1j * eta
         if warm is None:
-            m_block = np.repeat((-1.0 / zb)[None, :], entries.shape[0], axis=0)
+            m_block = np.repeat((-1.0 / zb)[None, :], s.n, axis=0)
         else:
             m_block = np.repeat(warm[:, None], len(tb), axis=1)
-        active = np.ones(len(tb), dtype=bool)
         dens = np.full(len(tb), np.nan)
-        for _ in range(max_iter):
-            idx = np.flatnonzero(active)
-            cols = m_block[:, idx]
-            sm = entries @ cols.real + 1j * (entries @ cols.imag)
-            fresh = -1.0 / (zb[idx][None, :] + sm)
-            res = np.abs(fresh - cols).max(axis=0)
-            m_block[:, idx] = fresh
-            done = idx[res <= tol]
-            if len(done):
-                active[done] = False
-                dens[done] = m_block[:, done].imag.mean(axis=0) / math.pi
-            exceed = np.flatnonzero(~active & (dens > threshold))
+        for _, res, active in _anderson(entries, zb, m_block, tol, max_iter):
+            done = np.isnan(dens) & (res <= tol)
+            dens[done] = m_block[:, done].imag.mean(axis=0) / math.pi
+            exceed = np.flatnonzero(dens > threshold)
             if len(exceed):
                 j0 = exceed[0]
                 if not active[:j0].any():
@@ -344,14 +300,12 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
                                            grid_step, threshold, grid_top)
                 # nothing below the candidate can move the answer
                 active[j0 + 1:] = False
-            if not active.any():
-                break
         if active.any():
             worst = tb[np.flatnonzero(active)[0]]
             raise ConvergenceError(
                 f"support scan stalled near tau = {worst:.6g} "
                 f"(eta = {eta}, tol = {tol})",
-                residual=float(res.max()) if len(idx) else None,
+                residual=float(res[active].max()),
                 iterations=max_iter,
             )
         warm = m_block[:, -1]

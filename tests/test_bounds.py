@@ -173,6 +173,25 @@ def test_bound_scales_as_sqrt_of_profile_scale():
     assert r2.w_c == pytest.approx(r1.w_c, abs=1e-10)
 
 
+def star_profile(n):
+    """Hub-and-spokes profile S[0, y] = S[y, 0] = 1: z_j decays like
+    (n - 1)^(-j/2) and underflows a double near j = 230 at n = 1000."""
+    a = np.zeros((n, n))
+    a[0, 1:] = a[1:, 0] = 1.0
+    return a
+
+
+def test_deep_truncation_survives_norm_sequence_underflow():
+    from specbound.linalg import VarianceMatrix
+
+    s = VarianceMatrix(star_profile(1000))
+    shallow = support_bound(s, J=200)
+    deep = support_bound(s, J=250)
+    assert deep.z.min() > 0
+    assert shallow.w_c == pytest.approx(1.23573, abs=1e-5)
+    assert abs(deep.w_c - shallow.w_c) <= 1e-12
+
+
 def test_report_serializes_to_json():
     rep = support_bound(exp_profile(50), J=10)
     d = rep.to_dict()

@@ -56,6 +56,17 @@ def test_bound_rejects_asymmetric_matrix(tmp_path, capsys):
     assert "(0, 1)" in err
 
 
+def test_bound_deep_j_on_star_profile_file(tmp_path, capsys):
+    # z_j underflows before j = 250 on this profile
+    f = tmp_path / "star.txt"
+    n = 1000
+    write_plain(f, [[int(x == 0 or y == 0) * int(x != y) for y in range(n)]
+                    for x in range(n)])
+    code, payload, _ = invoke(capsys, "bound", "--matrix", str(f), "--j", "250")
+    assert code == 0
+    assert payload["w_c"] == pytest.approx(1.23573, abs=1e-5)
+
+
 def test_bound_missing_file(capsys):
     code, _, err = invoke(capsys, "bound", "--matrix", "/nonexistent/m.txt")
     assert code == 2

@@ -15,6 +15,8 @@ from specbound.errors import (
 from specbound.linalg import (
     VarianceMatrix,
     exp_profile,
+    gram_linearize,
+    inf_norm,
     random_profile,
     wigner_profile,
 )
@@ -107,6 +109,26 @@ def test_solver_symmetry_in_z():
         np.testing.assert_allclose(left.m, -np.conj(right.m), atol=1e-9)
 
 
+def test_solver_converges_fast_at_the_semicircle_edge():
+    # plain iteration needs about 2,000 steps here
+    z = 1.999 + 1e-6j
+    s = wigner_profile(200)
+    probe = solve_qve(s, z, tol=1e-9, max_iter=500)
+    assert np.abs(probe.m + 1.0 / (z + s.entries @ probe.m)).max() <= 1e-9
+    np.testing.assert_allclose(probe.m, scalar_semicircle(z), atol=1e-6)
+
+
+def test_solver_handles_the_atom_of_a_rectangular_gram_profile():
+    # at tau = 0 the rows of the wider side carry |m| ~ 1/eta while the
+    # others stay of order one
+    s = gram_linearize(np.random.default_rng(3).random((30, 50)) / 50)
+    for eta in (1e-2, 1e-4, 1e-6):
+        z = complex(0.0, eta)
+        probe = solve_qve(s, z, tol=1e-9, max_iter=2_000)
+        assert np.abs(probe.m + 1.0 / (z + s.entries @ probe.m)).max() <= 1e-9
+        assert np.all(probe.m.imag > 0)
+
+
 def test_solver_domain_and_convergence_errors():
     s = wigner_profile(5)
     with pytest.raises(DomainError):
@@ -160,6 +182,36 @@ def test_density_scan_matches_single_point_calls():
         assert v == pytest.approx(density(s, float(t), eta=1e-2), abs=1e-6)
 
 
+def plain_density(s, taus, eta, tol):
+    """Reference: plain fixed-point iteration of every point at once."""
+    zb = np.asarray(taus, dtype=float) + 1j * eta
+    m = np.repeat((-1.0 / zb)[None, :], s.n, axis=0)
+    active = np.ones(len(zb), dtype=bool)
+    while active.any():
+        idx = np.flatnonzero(active)
+        fresh = -1.0 / (zb[idx] + s.entries @ m[:, idx])
+        res = np.abs(fresh - m[:, idx]).max(axis=0)
+        m[:, idx] = fresh
+        active[idx[res <= tol]] = False
+    return m.imag.mean(axis=0) / math.pi
+
+
+def test_density_scan_matches_tight_plain_iteration():
+    s = exp_profile(30)
+    taus = np.arange(0.0, 5.4, 0.15)
+    ref = plain_density(s, taus, eta=1e-3, tol=1e-12)
+    np.testing.assert_allclose(density_scan(s, taus, eta=1e-3), ref, rtol=0, atol=1e-8)
+
+
+def test_density_scan_names_an_unconverged_point(monkeypatch):
+    import specbound.qve as qve
+
+    monkeypatch.setattr(qve, "_MAX_SWEEPS", 3)
+    with pytest.raises(ConvergenceError, match="tau = 0.5 ") as err:
+        density_scan(exp_profile(20), [0.5, 1.0], eta=1e-3)
+    assert err.value.iterations == 3
+
+
 # ---------------------------------------------------------------- support
 
 def test_support_estimate_semicircle_edge():
@@ -196,6 +248,71 @@ def test_support_estimate_respects_grid_parameters():
     assert est.grid_step == 0.01
     assert abs(est.value - 2.0) < 0.06
     assert est.value == pytest.approx(round(est.value / 0.01) * 0.01, abs=1e-9)
+
+
+def estimate_support_loop(s, eta=1e-3, grid_step=1e-3, threshold=1e-2,
+                          tol=1e-8, max_iter=60_000, block=128):
+    """Reference: the support scan by plain fixed-point iteration over
+    the whole grid, top down in warm-started blocks, with the same
+    early cut as the library."""
+    norm = inf_norm(s)
+    grid_top = 2.0 * math.sqrt(norm) + 1.0
+    n_pts = int(math.floor(grid_top / grid_step)) + 1
+    taus_desc = np.arange(n_pts - 1, -1, -1, dtype=float) * grid_step
+    warm = None
+    for start in range(0, n_pts, block):
+        tb = taus_desc[start:start + block]
+        zb = tb + 1j * eta
+        if warm is None:
+            m_block = np.repeat((-1.0 / zb)[None, :], s.n, axis=0)
+        else:
+            m_block = np.repeat(warm[:, None], len(tb), axis=1)
+        active = np.ones(len(tb), dtype=bool)
+        dens = np.full(len(tb), np.nan)
+        for _ in range(max_iter):
+            idx = np.flatnonzero(active)
+            fresh = -1.0 / (zb[idx][None, :] + s.entries @ m_block[:, idx])
+            res = np.abs(fresh - m_block[:, idx]).max(axis=0)
+            m_block[:, idx] = fresh
+            done = idx[res <= tol]
+            active[done] = False
+            dens[done] = m_block[:, done].imag.mean(axis=0) / math.pi
+            exceed = np.flatnonzero(~active & (dens > threshold))
+            if len(exceed):
+                j0 = exceed[0]
+                if not active[:j0].any():
+                    return SupportEstimate(float(tb[j0]), True, eta,
+                                           grid_step, threshold, grid_top)
+                active[j0 + 1:] = False
+            if not active.any():
+                break
+        assert not active.any(), "reference scan stalled"
+        warm = m_block[:, -1]
+    return SupportEstimate(0.0, False, eta, grid_step, threshold, grid_top)
+
+
+SCAN_PROFILES = [wigner_profile(50), exp_profile(100)] + [
+    random_profile(60, seed=k) for k in range(5)]
+SCAN_IDS = ["wigner50", "exp100"] + [f"random60-{k}" for k in range(5)]
+
+
+@pytest.mark.parametrize("grid_step", [1e-3, 1e-2])
+@pytest.mark.parametrize("s", SCAN_PROFILES, ids=SCAN_IDS)
+def test_support_estimate_equals_plain_iteration_scan(s, grid_step):
+    assert estimate_support(s, grid_step=grid_step) == estimate_support_loop(
+        s, grid_step=grid_step)
+
+
+@pytest.mark.parametrize("s", SCAN_PROFILES[:3], ids=SCAN_IDS[:3])
+def test_support_scan_skips_only_points_below_the_threshold(s):
+    # the scan starts below B + sqrt(eta / (pi threshold) - eta^2), where
+    # B = 2 sqrt(|S|); the grid point just above must be below threshold
+    eta, step, threshold = 1e-3, 1e-3, 1e-2
+    est = estimate_support(s)
+    reach = 2 * math.sqrt(inf_norm(s)) + math.sqrt(eta / (math.pi * threshold) - eta**2)
+    first_skipped = (math.floor(reach / step) + 1) * step
+    assert first_skipped < est.grid_top
+    assert density(s, first_skipped, eta=eta) < threshold
 
 
 # ----------------------------------------------------------------- moments
