@@ -52,8 +52,8 @@ def critical_w(ns: NormSequence, tol: float = 1e-12) -> float:
 
     The result is the midpoint of a bracket of width at most ``tol``.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     lo, hi = 0.0, 2.0 - 1e-14
     if root_function(hi, ns) >= 0.0:
         raise ToleranceError("no sign change on [0, 2); norm sequence is invalid")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -55,6 +56,29 @@ def _source_flags(parser):
         "--repair", action="store_true",
         help="symmetrize and clamp an almost-valid input matrix",
     )
+
+
+def _bound_flags(parser):
+    parser.add_argument("--j", type=int, default=50,
+                        help="depth of the norm sequence (default 50)")
+
+
+def _qve_flags(parser):
+    parser.add_argument("--eta", type=float, default=1e-3,
+                        help="imaginary offset of the probe line (default 1e-3)")
+    parser.add_argument("--grid-step", type=float, default=1e-3,
+                        help="tau grid resolution (default 1e-3)")
+    parser.add_argument("--threshold", type=float, default=1e-2,
+                        help="density level defining the edge (default 1e-2)")
+
+
+def _mc_flags(parser):
+    parser.add_argument("--trials", type=int, default=10,
+                        help="number of samples (default 10)")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="experiment seed (default 1)")
+    parser.add_argument("--ensemble", choices=ENSEMBLES, default="real-symmetric",
+                        help="sampled matrix ensemble (default real-symmetric)")
 
 
 def _output_flags(parser):
@@ -110,6 +134,9 @@ def cmd_bound(args):
 
 def cmd_qve(args):
     started = time.perf_counter()
+    if not 0.0 < args.csv_step < math.inf:
+        raise InputError(
+            f"--csv-step must be positive and finite, got {args.csv_step}")
     s, desc = _resolve_source(args)
     est = estimate_support(s, eta=args.eta, grid_step=args.grid_step,
                            threshold=args.threshold)
@@ -240,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bound", help="row-sum support bound")
     _source_flags(b)
-    b.add_argument("--j", type=int, default=50,
-                   help="depth of the norm sequence (default 50)")
+    _bound_flags(b)
     b.add_argument("--tol", type=float, default=1e-12,
                    help="root-finding tolerance (default 1e-12)")
     _output_flags(b)
@@ -249,12 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("qve", help="support edge from the smoothed density")
     _source_flags(q)
-    q.add_argument("--eta", type=float, default=1e-3,
-                   help="imaginary offset of the probe line (default 1e-3)")
-    q.add_argument("--grid-step", type=float, default=1e-3,
-                   help="tau grid resolution (default 1e-3)")
-    q.add_argument("--threshold", type=float, default=1e-2,
-                   help="density level defining the edge (default 1e-2)")
+    _qve_flags(q)
     q.add_argument("--csv", metavar="PATH",
                    help="write a tau,density scan to this CSV file")
     q.add_argument("--csv-step", type=float, default=0.05,
@@ -264,11 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("mc", help="largest-eigenvalue sampling experiment")
     _source_flags(m)
-    m.add_argument("--trials", type=int, default=10,
-                   help="number of samples (default 10)")
-    m.add_argument("--seed", type=int, default=1,
-                   help="experiment seed (default 1)")
-    m.add_argument("--ensemble", choices=ENSEMBLES, default="real-symmetric")
+    _mc_flags(m)
     _output_flags(m)
     m.set_defaults(func=cmd_mc)
 
@@ -281,15 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("report", help="combined comparison of all estimates")
     _source_flags(r)
-    r.add_argument("--j", type=int, default=50)
+    _bound_flags(r)
     r.add_argument("--kmax", type=int, default=100,
                    help="depth of the moment proxy (default 100)")
-    r.add_argument("--eta", type=float, default=1e-3)
-    r.add_argument("--grid-step", type=float, default=1e-3)
-    r.add_argument("--threshold", type=float, default=1e-2)
-    r.add_argument("--trials", type=int, default=10)
-    r.add_argument("--seed", type=int, default=1)
-    r.add_argument("--ensemble", choices=ENSEMBLES, default="real-symmetric")
+    _qve_flags(r)
+    _mc_flags(r)
     _output_flags(r)
     r.set_defaults(func=cmd_report)
     return p

@@ -16,8 +16,10 @@ iteration of m -> -1/(z + S m) on a block of shifted points, iterated
 as matrix-matrix products.  Plain iteration contracts at a rate only
 O(Im z) away from one near the spectrum; the short per-point history
 removes that slow contraction with the same matrix products, so no
-Newton rescue is needed.  A point still unconverged at its update
-budget raises ConvergenceError.
+Newton rescue is needed.  The density and support scans converge every
+point of a block, none is abandoned early, and a point still
+unconverged at the shared sweep budget raises ConvergenceError from
+one place, the block helper both scans call.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ from .linalg import VarianceMatrix, inf_norm
 # 2 (_DEPTH + 1) _BLOCK n complex numbers on top of the profile.
 _BLOCK = 32
 _DEPTH = 3
-# update budget of density and density_scan
+# sweep budget of every block the scans iterate, and the update-norm
+# tolerances of density_scan and of the support scan
 _MAX_SWEEPS = 300_000
+_TOL = 1e-9
+_EDGE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,15 +62,6 @@ class SpectralProbe:
         m = np.asarray(self.m, dtype=complex)
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
-
-    def to_dict(self) -> dict:
-        return {
-            "z": [self.z.real, self.z.imag],
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "m_real": self.m.real.tolist(),
-            "m_imag": self.m.imag.tolist(),
-        }
 
 
 @dataclass(frozen=True)
@@ -118,17 +114,21 @@ def _check_z(z) -> complex:
     return z
 
 
+def _check_positive(**values):
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 def _anderson(entries, zb, m, tol, cap):
     """Anderson-accelerated fixed-point iteration of m -> -1/(z + S m).
 
     Iterates the columns of ``m`` in place, column j at the shift
-    ``zb[j]``, for at most ``cap`` sweeps, and yields
-    ``(sweep, res, active)`` after each one.  ``res`` holds every
-    column's latest update norm ``max_x |g_x - m_x|`` with
-    ``g = -1/(z + S m)``, and ``active`` marks the columns still
-    iterating; the caller may clear entries of it to abandon columns.
-    A column stops once its update norm is at most tol, holding the
-    iterate whose defect that norm is.
+    ``zb[j]``, for at most ``cap`` sweeps, and returns
+    ``(sweeps, res, active)``: the sweeps run, every column's latest
+    update norm ``max_x |g_x - m_x|`` with ``g = -1/(z + S m)``, and the
+    mask of columns left unconverged.  A column stops once its update
+    norm is at most tol, holding the iterate whose defect that norm is.
 
     Every other column moves to ``g - dG gamma``, where dF and dG hold
     the last _DEPTH differences of the updates ``f = g - m`` and of g,
@@ -150,7 +150,7 @@ def _anderson(entries, zb, m, tol, cap):
     for sweep in range(1, cap + 1):
         idx = np.flatnonzero(active)
         if not len(idx):
-            return
+            return sweep - 1, res, active
         cols = m[:, idx]
         g = (-1.0 / (zb[idx] + entries @ cols.real + 1j * (entries @ cols.imag))).T
         f = g - cols.T
@@ -176,7 +176,25 @@ def _anderson(entries, zb, m, tol, cap):
         diff_f[idx], diff_g[idx] = hist_f, hist_g
         f_prev[idx], g_prev[idx] = f, g
         m[:, idx] = step.T
-        yield sweep, res, active
+    return cap, res, active
+
+
+def _scan_block(entries, zb, m, tol):
+    """Converge the block ``m`` in place (see _anderson) within
+    _MAX_SWEEPS sweeps and return the smoothed density of each column.
+
+    Raises ConvergenceError naming the first point left unconverged.
+    """
+    _, res, active = _anderson(entries, zb, m, tol, _MAX_SWEEPS)
+    if active.any():
+        j = np.flatnonzero(active)[0]
+        raise ConvergenceError(
+            f"QVE scan stalled at tau = {zb[j].real:.6g} "
+            f"(eta = {zb[j].imag}, tol = {tol})",
+            residual=float(res[j]),
+            iterations=_MAX_SWEEPS,
+        )
+    return m.imag.mean(axis=0) / math.pi
 
 
 def solve_qve(s: VarianceMatrix, z, tol: float = 1e-9,
@@ -186,16 +204,16 @@ def solve_qve(s: VarianceMatrix, z, tol: float = 1e-9,
     Anderson-accelerated fixed-point iteration from m = -1/z, as a
     block of one column (see _anderson); ``iterations`` counts its
     update steps.  Raises ConvergenceError when max_iter update steps
-    did not reach the tolerance, and DomainError when Im z <= 0.
+    did not reach the tolerance, DomainError when Im z <= 0, and
+    InputError when tol is not positive and finite.
     """
     z = _check_z(z)
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise InputError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
     m = np.full((s.n, 1), -1.0 / z)
-    for it, res, active in _anderson(s.entries, np.array([z]), m, tol, max_iter):
-        pass
+    it, res, active = _anderson(s.entries, np.array([z]), m, tol, max_iter)
     if active[0]:
         raise ConvergenceError(
             f"no convergence at z = {z} after {max_iter} iterations "
@@ -207,69 +225,48 @@ def solve_qve(s: VarianceMatrix, z, tol: float = 1e-9,
     return SpectralProbe(z=z, m=m[:, 0], iterations=it, residual=float(res[0]))
 
 
-def density(s: VarianceMatrix, tau: float, eta: float, tol: float = 1e-9,
-            max_iter: int = _MAX_SWEEPS) -> float:
+def density(s: VarianceMatrix, tau: float, eta: float) -> float:
     """Smoothed spectral density (1/(pi n)) sum_x Im m_x(tau + i eta)."""
-    if eta <= 0:
-        raise DomainError(f"eta must be positive, got {eta}")
-    probe = solve_qve(s, complex(tau, eta), tol=tol, max_iter=max_iter)
-    return float(probe.m.imag.mean() / math.pi)
+    return float(density_scan(s, [tau], eta)[0])
 
 
-def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3,
-                 tol: float = 1e-9) -> np.ndarray:
+def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     """Smoothed density at every point of ``taus``, as one array.
 
     Blocks of points are iterated together, each point from m = -1/z,
-    with the update budget of :func:`density`.  Raises
-    ConvergenceError naming the first point of a block that is left
-    unconverged.
+    to an update norm of _TOL.  Raises ConvergenceError naming the
+    first point of a block that is left unconverged.
     """
-    if eta <= 0:
-        raise DomainError(f"eta must be positive, got {eta}")
+    _check_positive(eta=eta)
     taus = np.asarray(taus, dtype=float).ravel()
     out = np.empty(len(taus))
     for start in range(0, len(taus), _BLOCK):
         zb = taus[start:start + _BLOCK] + 1j * eta
         m_block = np.repeat((-1.0 / zb)[None, :], s.n, axis=0)
-        for _, res, active in _anderson(s.entries, zb, m_block, tol, _MAX_SWEEPS):
-            pass
-        if active.any():
-            j = np.flatnonzero(active)[0]
-            raise ConvergenceError(
-                f"density scan stalled at tau = {zb[j].real:.6g} "
-                f"(eta = {eta}, tol = {tol})",
-                residual=float(res[j]),
-                iterations=_MAX_SWEEPS,
-            )
-        out[start:start + _BLOCK] = m_block.imag.mean(axis=0) / math.pi
+        out[start:start + _BLOCK] = _scan_block(s.entries, zb, m_block, _TOL)
     return out
 
 
 def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
-                     grid_step: float = 1e-3, threshold: float = 1e-2,
-                     tol: float = 1e-8, max_iter: int = 60_000) -> SupportEstimate:
+                     grid_step: float = 1e-3,
+                     threshold: float = 1e-2) -> SupportEstimate:
     """Locate the largest grid point where the smoothed density exceeds
     the threshold.
 
     The grid runs from 0 to one past the row-sum bound B = 2 sqrt(|S|)
-    and is scanned from the top down in blocks, warm-starting each
-    block from its neighbour.  Every m_x is the Stieltjes transform of
-    a probability measure on [-B, B], so above B the density is at
-    most eta / (pi ((tau - B)^2 + eta^2)); the scan starts at the
-    highest grid point where that bound exceeds the threshold.  The
-    moment a converged point exceeds the threshold and every point
-    above it has settled below it, everything further down is
-    abandoned: points deep inside the spectrum are never iterated to
-    completion.  The zero profile has no spectrum to detect (its
-    density is a spike at the origin that the smoothing would smear
-    past the threshold), so it short-circuits to a not-found result.
+    and is scanned from the top down in blocks, each converged to an
+    update norm of _EDGE_TOL and warm-started from the lowest point of
+    the block above.  Every m_x is the Stieltjes transform of a
+    probability measure on [-B, B], so above B the density is at most
+    eta / (pi ((tau - B)^2 + eta^2)); the scan starts at the highest
+    grid point where that bound exceeds the threshold, and it returns
+    at the first block holding a point above the threshold.  A block
+    left unconverged raises ConvergenceError naming its first such
+    point.  The zero profile has no spectrum to detect (its density is
+    a spike at the origin that the smoothing would smear past the
+    threshold), so it short-circuits to a not-found result.
     """
-    if eta <= 0 or grid_step <= 0 or threshold <= 0:
-        raise DomainError("eta, grid_step and threshold must be positive")
-    if max_iter < 1:
-        raise InputError(f"max_iter must be at least 1, got {max_iter}")
-    entries = s.entries
+    _check_positive(eta=eta, grid_step=grid_step, threshold=threshold)
     norm = inf_norm(s)
     if norm == 0.0:
         return SupportEstimate(0.0, False, eta, grid_step, threshold, 0.0)
@@ -280,7 +277,6 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     top = min(n_pts - 1, int(math.floor(reach / grid_step)))
     taus_desc = np.arange(top, -1, -1, dtype=float) * grid_step
     warm = None
-
     for start in range(0, len(taus_desc), _BLOCK):
         tb = taus_desc[start:start + _BLOCK]
         zb = tb + 1j * eta
@@ -288,26 +284,11 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
             m_block = np.repeat((-1.0 / zb)[None, :], s.n, axis=0)
         else:
             m_block = np.repeat(warm[:, None], len(tb), axis=1)
-        dens = np.full(len(tb), np.nan)
-        for _, res, active in _anderson(entries, zb, m_block, tol, max_iter):
-            done = np.isnan(dens) & (res <= tol)
-            dens[done] = m_block[:, done].imag.mean(axis=0) / math.pi
-            exceed = np.flatnonzero(dens > threshold)
-            if len(exceed):
-                j0 = exceed[0]
-                if not active[:j0].any():
-                    return SupportEstimate(float(tb[j0]), True, eta,
-                                           grid_step, threshold, grid_top)
-                # nothing below the candidate can move the answer
-                active[j0 + 1:] = False
-        if active.any():
-            worst = tb[np.flatnonzero(active)[0]]
-            raise ConvergenceError(
-                f"support scan stalled near tau = {worst:.6g} "
-                f"(eta = {eta}, tol = {tol})",
-                residual=float(res[active].max()),
-                iterations=max_iter,
-            )
+        dens = _scan_block(s.entries, zb, m_block, _EDGE_TOL)
+        exceed = np.flatnonzero(dens > threshold)
+        if len(exceed):
+            return SupportEstimate(float(tb[exceed[0]]), True, eta,
+                                   grid_step, threshold, grid_top)
         warm = m_block[:, -1]
     return SupportEstimate(0.0, False, eta, grid_step, threshold, grid_top)
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,13 @@ def test_critical_w_tolerance_parameter():
     fine = critical_w(ns, tol=1e-14)
     assert abs(coarse - fine) < 1e-4
     assert abs(fine - WC_HALF_DECAY) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+def test_critical_w_rejects_bad_tolerance(tol):
+    ns = NormSequence(norm_s=1.0, z=np.array([1.0, 0.5]))
+    with pytest.raises(DomainError, match="tol"):
+        critical_w(ns, tol=tol)
 
 
 @settings(max_examples=50, deadline=None)

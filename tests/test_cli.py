@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from specbound.cli import run
+from specbound.cli import build_parser, run
 
 EXP500_TRIVIAL = 4.3159157401465924
 EXP500_IMPROVED = 4.0022959868671108
@@ -87,6 +87,13 @@ def test_bound_rejects_conflicting_sources(tmp_path, capsys):
     assert code == 2
 
 
+def test_bound_rejects_nan_tol(capsys):
+    code, _, err = invoke(capsys, "bound", "--profile", "wigner", "--n", "4",
+                          "--tol", "nan")
+    assert code == 2
+    assert "tol" in err
+
+
 def test_json_file_mirrors_stdout(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, payload, _ = invoke(capsys, "bound", "--profile", "wigner",
@@ -131,6 +138,27 @@ def test_qve_writes_density_csv(tmp_path, capsys):
     assert taus == sorted(taus)
     assert all(d >= 0 for d in dens)
     assert max(dens) > 0.01
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--eta", "nan"), ("--eta", "inf"), ("--grid-step", "nan"),
+    ("--threshold", "nan")])
+def test_qve_rejects_non_finite_scan_parameters(capsys, flag, value):
+    code, payload, err = invoke(capsys, "qve", "--profile", "wigner", "--n", "4",
+                                flag, value)
+    assert code == 2
+    assert payload is None
+    assert flag[2:].replace("-", "_") in err
+
+
+@pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+def test_qve_rejects_bad_csv_step(tmp_path, capsys, step):
+    csv_path = tmp_path / "scan.csv"
+    code, _, err = invoke(capsys, "qve", "--profile", "wigner", "--n", "4",
+                          "--csv", str(csv_path), "--csv-step", step)
+    assert code == 2
+    assert "--csv-step" in err
+    assert not csv_path.exists()
 
 
 # ---------------------------------------------------------------------- mc
@@ -211,6 +239,20 @@ def test_report_overflow_is_a_numeric_failure(tmp_path, capsys):
                           "--trials", "1", "--kmax", "100")
     assert code == 3
     assert "numeric failure" in err
+
+
+def test_report_shares_flag_groups_with_qve_and_mc(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["report", "--help"])
+    out = capsys.readouterr().out
+    assert "imaginary offset of the probe line" in out
+    assert "number of samples" in out
+    parser = build_parser()
+    report = vars(parser.parse_args(["report"]))
+    for sub in ("bound", "qve", "mc"):
+        for key, value in vars(parser.parse_args([sub])).items():
+            if key not in ("command", "func", "tol", "csv", "csv_step"):
+                assert report[key] == value, (sub, key)
 
 
 # ----------------------------------------------------- manifest reproducibility

@@ -141,6 +141,12 @@ def test_solver_domain_and_convergence_errors():
     assert err.value.iterations == 3
 
 
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf])
+def test_solver_rejects_bad_tolerance(tol):
+    with pytest.raises(InputError, match="tol"):
+        solve_qve(wigner_profile(5), 1j, tol=tol, max_iter=10)
+
+
 # ----------------------------------------------------------------- density
 
 def test_semicircle_density_at_center():
@@ -212,6 +218,12 @@ def test_density_scan_names_an_unconverged_point(monkeypatch):
     assert err.value.iterations == 3
 
 
+@pytest.mark.parametrize("eta", [0.0, math.nan, math.inf])
+def test_density_scan_rejects_bad_eta(eta):
+    with pytest.raises(DomainError, match="eta"):
+        density_scan(wigner_profile(5), [0.5], eta=eta)
+
+
 # ---------------------------------------------------------------- support
 
 def test_support_estimate_semicircle_edge():
@@ -250,11 +262,28 @@ def test_support_estimate_respects_grid_parameters():
     assert est.value == pytest.approx(round(est.value / 0.01) * 0.01, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["eta", "grid_step", "threshold"])
+@pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
+def test_support_estimate_rejects_bad_scan_parameters(name, value):
+    with pytest.raises(DomainError, match=name):
+        estimate_support(wigner_profile(5), **{name: value})
+
+
+def test_support_scan_names_an_unconverged_point(monkeypatch):
+    import specbound.qve as qve
+
+    monkeypatch.setattr(qve, "_MAX_SWEEPS", 3)
+    with pytest.raises(ConvergenceError, match=r"tau = \d") as err:
+        estimate_support(exp_profile(20))
+    assert err.value.iterations == 3
+    assert err.value.residual > 0
+
+
 def estimate_support_loop(s, eta=1e-3, grid_step=1e-3, threshold=1e-2,
                           tol=1e-8, max_iter=60_000, block=128):
     """Reference: the support scan by plain fixed-point iteration over
-    the whole grid, top down in warm-started blocks, with the same
-    early cut as the library."""
+    the whole grid, top down in warm-started blocks.  Its early cut,
+    which the library does not have, must not change the answer."""
     norm = inf_norm(s)
     grid_top = 2.0 * math.sqrt(norm) + 1.0
     n_pts = int(math.floor(grid_top / grid_step)) + 1
