@@ -20,6 +20,14 @@ Newton rescue is needed.  The density and support scans converge every
 point of a block, none is abandoned early, and a point still
 unconverged at the shared sweep budget raises ConvergenceError from
 one place, the block helper both scans call.
+
+The support scan starts from a certified ceiling on the edge rather
+than from the row-sum bound: max_x (1/u_x + (S u)_x) at any computed
+u > 0 bounds the edge from above (Ajanki, Erdos and Kruger, "Quadratic
+vector equations on the complex upper half-plane", cited as [AEK]),
+and each m_x is the Stieltjes transform of a measure with no mass above
+the edge, so the points skipped above the ceiling's reach provably lie
+below the threshold.
 """
 
 from __future__ import annotations
@@ -42,6 +50,10 @@ _DEPTH = 3
 _MAX_SWEEPS = 300_000
 _TOL = 1e-9
 _EDGE_TOL = 1e-8
+# relative bracket width of the edge ceiling's bisection, and the steps
+# of the monotone real iteration run at each of its trial points
+_CEILING_WIDTH = 5e-3
+_CEILING_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -109,8 +121,8 @@ class MomentTable:
 
 def _check_z(z) -> complex:
     z = complex(z)
-    if z.imag <= 0:
-        raise DomainError(f"z must have positive imaginary part, got {z}")
+    if not (math.isfinite(z.real) and math.isfinite(z.imag) and z.imag > 0):
+        raise DomainError(f"z must be finite with positive imaginary part, got {z}")
     return z
 
 
@@ -123,78 +135,127 @@ def _check_positive(**values):
 def _anderson(entries, zb, m, tol, cap):
     """Anderson-accelerated fixed-point iteration of m -> -1/(z + S m).
 
-    Iterates the columns of ``m`` in place, column j at the shift
-    ``zb[j]``, for at most ``cap`` sweeps, and returns
-    ``(sweeps, res, active)``: the sweeps run, every column's latest
-    update norm ``max_x |g_x - m_x|`` with ``g = -1/(z + S m)``, and the
-    mask of columns left unconverged.  A column stops once its update
-    norm is at most tol, holding the iterate whose defect that norm is.
+    Iterates the rows of ``m`` in place, row j at the shift ``zb[j]``,
+    for at most ``cap`` sweeps, and returns ``(sweeps, res, active)``:
+    the sweeps run, every row's latest update norm ``max_x |g_x - m_x|``
+    with ``g = -1/(z + S m)``, and the mask of rows left unconverged.  A
+    row stops once its update norm is at most tol, holding the iterate
+    whose defect that norm is.  The kernel returns at once when an
+    update norm is not finite, leaving that row unconverged.
 
-    Every other column moves to ``g - dG gamma``, where dF and dG hold
-    the last _DEPTH differences of the updates ``f = g - m`` and of g,
-    and the complex gamma minimizes ``|(f - dF gamma) / |g||``.  The
-    weight 1/|g| balances the least-squares problem when entries of m
-    differ by orders of magnitude, as at the origin of a rectangular
-    Gram profile.  If that point leaves the upper half-plane, the
-    column takes the plain step g and its history is cleared.  Matrix
-    products are split into two real products, which is faster than
-    one complex product for a real profile.
+    Every other row moves to ``g - dG gamma``, where dF and dG hold the
+    last _DEPTH differences of the updates ``f = g - m`` and of g, and
+    the complex gamma minimizes ``|(f - dF gamma) / |g||``.  The weight
+    1/|g| balances the least-squares problem when entries of m differ by
+    orders of magnitude, as at the origin of a rectangular Gram profile.
+    If that point leaves the upper half-plane, the row takes the plain
+    step g and its history is cleared.
+
+    The running rows and their histories are held compacted and shrink
+    only on a sweep where a row stops.  S is symmetric, so the rows of
+    S m are one real product of the stacked real and imaginary parts
+    with ``entries``.
     """
-    n, b = m.shape
+    b, n = m.shape
     active = np.ones(b, dtype=bool)
     res = np.full(b, np.inf)
-    diff_f = np.zeros((b, _DEPTH, n), dtype=complex)
-    diff_g = np.zeros((b, _DEPTH, n), dtype=complex)
-    f_prev = np.zeros((b, n), dtype=complex)
-    g_prev = np.zeros((b, n), dtype=complex)
+    idx = np.arange(b)
+    cur = m
+    hist_f = np.zeros((b, _DEPTH, n), dtype=complex)
+    hist_g = np.zeros((b, _DEPTH, n), dtype=complex)
+    f_prev = g_prev = np.zeros((b, n), dtype=complex)
     for sweep in range(1, cap + 1):
-        idx = np.flatnonzero(active)
-        if not len(idx):
-            return sweep - 1, res, active
-        cols = m[:, idx]
-        g = (-1.0 / (zb[idx] + entries @ cols.real + 1j * (entries @ cols.imag))).T
-        f = g - cols.T
+        k = len(idx)
+        sm = np.concatenate((cur.real, cur.imag)) @ entries
+        g = -1.0 / (zb[idx, None] + sm[:k] + 1j * sm[k:])
+        f = g - cur
         r = np.abs(f).max(axis=1)
         res[idx] = r
-        active[idx[r <= tol]] = False
-        go = r > tol
-        idx, g, f = idx[go], g[go], f[go]
-        hist_f, hist_g = diff_f[idx], diff_g[idx]
+        done = r <= tol
+        if done.any():
+            m[idx[done]] = cur[done]
+            active[idx[done]] = False
+            go = ~done
+            idx, cur, g, f = idx[go], cur[go], g[go], f[go]
+            hist_f, hist_g = hist_f[go], hist_g[go]
+            f_prev, g_prev = f_prev[go], g_prev[go]
+            if not len(idx):
+                return sweep, res, active
+        if not np.isfinite(r).all():
+            break
         if sweep > 1:
-            hist_f[:, sweep % _DEPTH] = f - f_prev[idx]
-            hist_g[:, sweep % _DEPTH] = g - g_prev[idx]
+            hist_f[:, sweep % _DEPTH] = f - f_prev
+            hist_g[:, sweep % _DEPTH] = g - g_prev
         weight = 1.0 / np.abs(g)
         wf = hist_f * weight[:, None, :]
         gram = wf.conj() @ wf.transpose(0, 2, 1)
         rhs = wf.conj() @ (f * weight)[:, :, None]
         gamma = np.linalg.pinv(gram, rcond=1e-12, hermitian=True) @ rhs
-        step = g - (gamma.transpose(0, 2, 1) @ hist_g)[:, 0]
-        plain = ~(step.imag > 0).all(axis=1)
-        step[plain] = g[plain]
+        cur = g - (gamma.transpose(0, 2, 1) @ hist_g)[:, 0]
+        plain = ~(cur.imag > 0).all(axis=1)
+        cur[plain] = g[plain]
         hist_f[plain] = 0.0
         hist_g[plain] = 0.0
-        diff_f[idx], diff_g[idx] = hist_f, hist_g
-        f_prev[idx], g_prev[idx] = f, g
-        m[:, idx] = step.T
-    return cap, res, active
+        f_prev, g_prev = f, g
+    m[idx] = cur
+    return sweep, res, active
+
+
+def _edge_ceiling(entries, hi):
+    """Certified upper bound on the top of the spectrum of the profile.
+
+    For every u > 0 the value c(u) = max_x (1/u_x + (S u)_x) is at least
+    the edge: at tau = c(u) the vector u is a supersolution of the
+    monotone map v -> 1/(tau - S v), so its iteration from 0 stays below
+    u and converges to a positive solution of 1/u + S u = tau, which
+    exists only at or above the edge [AEK].  ``hi`` must be such a bound
+    already; the row-sum bound 2 sqrt(|S|) is c(1/sqrt(|S|)).
+
+    Bisects tau on [0, hi] to a relative bracket width of
+    _CEILING_WIDTH.  At each trial tau the iteration u -> 1/(tau - S u)
+    runs from 0 for at most _CEILING_STEPS steps; a denominator <= 0
+    means no positive solution at tau and moves the bracket up, and
+    otherwise it moves down.  The bracket only steers the search: the
+    result is the smallest c(u) over every positive iterate met, or hi.
+    """
+    lo, best = 0.0, hi
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while hi - lo > _CEILING_WIDTH * hi:
+            tau = 0.5 * (lo + hi)
+            su = np.zeros(len(entries))
+            for _ in range(_CEILING_STEPS):
+                denom = tau - su
+                if not (denom > 0.0).all():
+                    lo = tau
+                    break
+                u = 1.0 / denom
+                su = entries @ u
+                cert = float((1.0 / u + su).max())
+                if cert < best:
+                    best = cert
+            else:
+                hi = tau
+    return best
 
 
 def _scan_block(entries, zb, m, tol):
     """Converge the block ``m`` in place (see _anderson) within
-    _MAX_SWEEPS sweeps and return the smoothed density of each column.
+    _MAX_SWEEPS sweeps and return the smoothed density of each row.
 
-    Raises ConvergenceError naming the first point left unconverged.
+    Raises ConvergenceError naming the first point whose update norm
+    is not finite, or else the first point left unconverged.
     """
-    _, res, active = _anderson(entries, zb, m, tol, _MAX_SWEEPS)
+    sweeps, res, active = _anderson(entries, zb, m, tol, _MAX_SWEEPS)
     if active.any():
-        j = np.flatnonzero(active)[0]
+        bad = active & ~np.isfinite(res)
+        j = np.flatnonzero(bad if bad.any() else active)[0]
         raise ConvergenceError(
             f"QVE scan stalled at tau = {zb[j].real:.6g} "
             f"(eta = {zb[j].imag}, tol = {tol})",
             residual=float(res[j]),
-            iterations=_MAX_SWEEPS,
+            iterations=sweeps,
         )
-    return m.imag.mean(axis=0) / math.pi
+    return m.imag.mean(axis=1) / math.pi
 
 
 def solve_qve(s: VarianceMatrix, z, tol: float = 1e-9,
@@ -202,27 +263,28 @@ def solve_qve(s: VarianceMatrix, z, tol: float = 1e-9,
     """Solve -1/m_x = z + (S m)_x for the upper-half-plane vector m.
 
     Anderson-accelerated fixed-point iteration from m = -1/z, as a
-    block of one column (see _anderson); ``iterations`` counts its
-    update steps.  Raises ConvergenceError when max_iter update steps
-    did not reach the tolerance, DomainError when Im z <= 0, and
-    InputError when tol is not positive and finite.
+    block of one row (see _anderson); ``iterations`` counts its update
+    steps.  Raises ConvergenceError when max_iter update steps did not
+    reach the tolerance or an update was not finite, DomainError when z
+    is not finite or Im z <= 0, and InputError when tol is not positive
+    and finite.
     """
     z = _check_z(z)
     if not 0.0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
-    m = np.full((s.n, 1), -1.0 / z)
+    m = np.full((1, s.n), -1.0 / z)
     it, res, active = _anderson(s.entries, np.array([z]), m, tol, max_iter)
     if active[0]:
         raise ConvergenceError(
-            f"no convergence at z = {z} after {max_iter} iterations "
+            f"no convergence at z = {z} after {it} iterations "
             f"(residual {res[0]:.3e})",
             residual=float(res[0]),
-            iterations=max_iter,
+            iterations=it,
         )
     # the defect of the returned vector is exactly its last update norm
-    return SpectralProbe(z=z, m=m[:, 0], iterations=it, residual=float(res[0]))
+    return SpectralProbe(z=z, m=m[0], iterations=it, residual=float(res[0]))
 
 
 def density(s: VarianceMatrix, tau: float, eta: float) -> float:
@@ -234,15 +296,18 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     """Smoothed density at every point of ``taus``, as one array.
 
     Blocks of points are iterated together, each point from m = -1/z,
-    to an update norm of _TOL.  Raises ConvergenceError naming the
-    first point of a block that is left unconverged.
+    to an update norm of _TOL.  Raises DomainError when a tau is not
+    finite, and ConvergenceError naming the first point of a block that
+    is left unconverged.
     """
     _check_positive(eta=eta)
     taus = np.asarray(taus, dtype=float).ravel()
+    if not np.isfinite(taus).all():
+        raise DomainError(f"taus must be finite, got {taus[~np.isfinite(taus)][0]}")
     out = np.empty(len(taus))
     for start in range(0, len(taus), _BLOCK):
         zb = taus[start:start + _BLOCK] + 1j * eta
-        m_block = np.repeat((-1.0 / zb)[None, :], s.n, axis=0)
+        m_block = np.repeat((-1.0 / zb)[:, None], s.n, axis=1)
         out[start:start + _BLOCK] = _scan_block(s.entries, zb, m_block, _TOL)
     return out
 
@@ -257,12 +322,16 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     and is scanned from the top down in blocks, each converged to an
     update norm of _EDGE_TOL and warm-started from the lowest point of
     the block above.  Every m_x is the Stieltjes transform of a
-    probability measure on [-B, B], so above B the density is at most
-    eta / (pi ((tau - B)^2 + eta^2)); the scan starts at the highest
-    grid point where that bound exceeds the threshold, and it returns
-    at the first block holding a point above the threshold.  A block
-    left unconverged raises ConvergenceError naming its first such
-    point.  The zero profile has no spectrum to detect (its density is
+    probability measure on [-E, E], where E is the top of the spectrum,
+    so above E the density is at most eta / (pi ((tau - E)^2 + eta^2)).
+    E is replaced by the certified ceiling of _edge_ceiling, a value of
+    max_x (1/u_x + (S u)_x) at a computed u > 0, which is at least E
+    and at most B.  Points above the reach of that bound cannot exceed
+    the threshold, so skipping them is exact: the scan starts at the
+    highest grid point where the bound exceeds the threshold, and it
+    returns at the first block holding a point above the threshold.  A
+    block left unconverged raises ConvergenceError naming its first
+    such point.  The zero profile has no spectrum to detect (its density is
     a spike at the origin that the smoothing would smear past the
     threshold), so it short-circuits to a not-found result.
     """
@@ -270,9 +339,10 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     norm = inf_norm(s)
     if norm == 0.0:
         return SupportEstimate(0.0, False, eta, grid_step, threshold, 0.0)
-    edge = 2.0 * math.sqrt(norm)
-    grid_top = edge + 1.0
+    bound = 2.0 * math.sqrt(norm)
+    grid_top = bound + 1.0
     n_pts = int(math.floor(grid_top / grid_step)) + 1
+    edge = _edge_ceiling(s.entries, bound)
     reach = edge + math.sqrt(max(eta / (math.pi * threshold) - eta * eta, 0.0))
     top = min(n_pts - 1, int(math.floor(reach / grid_step)))
     taus_desc = np.arange(top, -1, -1, dtype=float) * grid_step
@@ -281,15 +351,15 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
         tb = taus_desc[start:start + _BLOCK]
         zb = tb + 1j * eta
         if warm is None:
-            m_block = np.repeat((-1.0 / zb)[None, :], s.n, axis=0)
+            m_block = np.repeat((-1.0 / zb)[:, None], s.n, axis=1)
         else:
-            m_block = np.repeat(warm[:, None], len(tb), axis=1)
+            m_block = np.repeat(warm[None, :], len(tb), axis=0)
         dens = _scan_block(s.entries, zb, m_block, _EDGE_TOL)
         exceed = np.flatnonzero(dens > threshold)
         if len(exceed):
             return SupportEstimate(float(tb[exceed[0]]), True, eta,
                                    grid_step, threshold, grid_top)
-        warm = m_block[:, -1]
+        warm = m_block[-1]
     return SupportEstimate(0.0, False, eta, grid_step, threshold, grid_top)
 
 

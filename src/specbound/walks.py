@@ -27,7 +27,7 @@ import itertools
 
 import numpy as np
 
-from .bounds import critical_w
+from .bounds import critical_w, root_function
 from .dyck import run_statistics, run_z_weight
 from .errors import DomainError, InputError, SizeGuardError, ToleranceError
 from .linalg import NormSequence
@@ -116,7 +116,7 @@ def stopped_walk_generating_function(ns: NormSequence, J: int, w: float) -> floa
     x = w / 2.0
     series = 1.0 + float((x ** np.arange(1, J + 1)) @ sub.z)
     series += x ** (J + 1) / (1.0 - x)
-    denom = 1.0 - x * series
+    denom = root_function(w, sub)
     if denom <= 0.0:
         # w_c is located to finite tolerance; the denominator itself is
         # the authoritative pole detector

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import specbound.qve as qve
 from specbound.bounds import support_bound
 from specbound.dyck import enumerate_trees
 from specbound.errors import (
@@ -31,6 +33,7 @@ from specbound.qve import (
     solve_qve,
     support_from_moments,
 )
+from specbound.qve import _CEILING_WIDTH, _anderson, _edge_ceiling, _scan_block
 from specbound.treeval import tree_val_vector
 
 # i (sqrt(2) - 1): Stieltjes transform of the semicircle law at z = 2i
@@ -147,6 +150,44 @@ def test_solver_rejects_bad_tolerance(tol):
         solve_qve(wigner_profile(5), 1j, tol=tol, max_iter=10)
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 1.0), complex(math.inf, 1.0),
+                               complex(0.5, math.inf), complex(0.5, math.nan)])
+def test_solver_rejects_non_finite_z(z):
+    with pytest.raises(DomainError, match="finite"):
+        solve_qve(wigner_profile(5), z)
+
+
+def test_kernel_returns_at_once_on_a_non_finite_update():
+    # the first point's update is NaN: the kernel stops after one sweep
+    # and leaves both points unconverged, holding finite iterates for
+    # the healthy one
+    s = exp_profile(20)
+    zb = np.array([complex(math.nan, 1e-3), 0.5 + 1e-3j])
+    m = np.repeat((-1.0 / np.array([1j, zb[1]]))[:, None], s.n, axis=1)
+    with np.errstate(invalid="ignore"):
+        sweeps, res, active = _anderson(s.entries, zb, m, 1e-9, 1_000)
+    assert sweeps == 1
+    assert active.tolist() == [True, True]
+    assert math.isnan(res[0]) and 0 < res[1] < math.inf
+    assert np.isfinite(m[1]).all()
+
+
+def test_scan_block_and_solver_raise_at_once_on_a_non_finite_update():
+    s = exp_profile(20)
+    zb = np.array([0.5 + 1e-3j, complex(math.nan, 1e-3)])
+    m = np.repeat((-1.0 / np.array([zb[0], 1j]))[:, None], s.n, axis=1)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="tau = nan ") as err:
+            _scan_block(s.entries, zb, m, 1e-9)
+    assert err.value.iterations == 1
+    # entries of 1e308 overflow S m in the first sweep
+    huge = VarianceMatrix(np.full((2, 2), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError) as err:
+            solve_qve(huge, 1j, max_iter=200_000)
+    assert err.value.iterations == 1
+
+
 # ----------------------------------------------------------------- density
 
 def test_semicircle_density_at_center():
@@ -222,6 +263,12 @@ def test_density_scan_names_an_unconverged_point(monkeypatch):
 def test_density_scan_rejects_bad_eta(eta):
     with pytest.raises(DomainError, match="eta"):
         density_scan(wigner_profile(5), [0.5], eta=eta)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_density_scan_rejects_non_finite_taus(tau):
+    with pytest.raises(DomainError, match="taus"):
+        density_scan(wigner_profile(5), [tau, 0.5])
 
 
 # ---------------------------------------------------------------- support
@@ -320,9 +367,26 @@ def estimate_support_loop(s, eta=1e-3, grid_step=1e-3, threshold=1e-2,
     return SupportEstimate(0.0, False, eta, grid_step, threshold, grid_top)
 
 
+def ceiling(s):
+    return _edge_ceiling(s.entries, 2 * math.sqrt(inf_norm(s)))
+
+
+def block_profile(n1, n2, a, b, c):
+    """Two-block constant profile [[a, b], [b, c]] with blocks of n1 and
+    n2 rows."""
+    s = np.empty((n1 + n2, n1 + n2))
+    s[:n1, :n1], s[:n1, n1:], s[n1:, :n1], s[n1:, n1:] = a, b, b, c
+    return VarianceMatrix(s)
+
+
+# The last two have the widest gap between B = 2 sqrt(|S|) and the edge
+# (0.39 and 0.45), where the edge ceiling moves the scan start most.
 SCAN_PROFILES = [wigner_profile(50), exp_profile(100)] + [
-    random_profile(60, seed=k) for k in range(5)]
-SCAN_IDS = ["wigner50", "exp100"] + [f"random60-{k}" for k in range(5)]
+    random_profile(60, seed=k) for k in range(5)] + [
+    gram_linearize(np.random.default_rng(1).random((20, 60)) / 60),
+    block_profile(10, 50, 0.02, 0.02, 0.004)]
+SCAN_IDS = ["wigner50", "exp100"] + [f"random60-{k}" for k in range(5)] + [
+    "gram20x60", "block10+50"]
 
 
 @pytest.mark.parametrize("grid_step", [1e-3, 1e-2])
@@ -342,6 +406,114 @@ def test_support_scan_skips_only_points_below_the_threshold(s):
     first_skipped = (math.floor(reach / step) + 1) * step
     assert first_skipped < est.grid_top
     assert density(s, first_skipped, eta=eta) < threshold
+
+
+@pytest.mark.parametrize("s", SCAN_PROFILES, ids=SCAN_IDS)
+def test_support_scan_skips_only_points_below_the_threshold_above_the_ceiling(s):
+    # the scan starts below C + sqrt(eta / (pi threshold) - eta^2), where
+    # C is the certified edge ceiling; the grid point just above must be
+    # below threshold
+    eta, step, threshold = 1e-3, 1e-3, 1e-2
+    est = estimate_support(s)
+    reach = ceiling(s) + math.sqrt(eta / (math.pi * threshold) - eta**2)
+    first_skipped = (math.floor(reach / step) + 1) * step
+    assert first_skipped < est.grid_top
+    assert density(s, first_skipped, eta=eta) < threshold
+
+
+def test_support_scan_starts_at_the_ceiling_reach(monkeypatch):
+    # work guard: no point is scanned above the reach of the ceiling,
+    # which on exp200 lies 0.6 below the reach of B = 4.31
+    s = exp_profile(200)
+    eta, step, threshold = 1e-3, 1e-3, 1e-2
+    scanned = []
+    scan_block = qve._scan_block
+
+    def recording(entries, zb, m, tol):
+        scanned.append(zb.real.max())
+        return scan_block(entries, zb, m, tol)
+
+    monkeypatch.setattr(qve, "_scan_block", recording)
+    est = estimate_support(s)
+    margin = math.sqrt(eta / (math.pi * threshold) - eta**2)
+    assert max(scanned) <= ceiling(s) + margin + step
+    # exp200's edge lies below exp500's exact edge 3.6815 (its ceiling is 3.679)
+    assert max(scanned) <= 3.6815 * (1 + _CEILING_WIDTH) + margin + step
+    assert est == estimate_support_loop(s)
+
+
+# ------------------------------------------------------------ edge ceiling
+
+def ternary_min(fn, lo, hi, steps=200):
+    """Minimum of a convex function on [lo, hi] by ternary search."""
+    for _ in range(steps):
+        a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if fn(a) <= fn(b):
+            hi = b
+        else:
+            lo = a
+    return fn((lo + hi) / 2)
+
+
+def two_block_edge(n1, n2, a, b, c):
+    """Reference: the edge of block_profile(n1, n2, a, b, c) as the
+    minimum over block-constant u = (u1, u2) > 0 of max_i (1/u_i +
+    (S u)_i).  Each term is a positive sum of exponentials of
+    (log u1, log u2), so their maximum is convex there and nested
+    ternary searches over log u find its minimum."""
+    def cert(u1, u2):
+        return max(1 / u1 + a * n1 * u1 + b * n2 * u2,
+                   1 / u2 + b * n1 * u1 + c * n2 * u2)
+    return ternary_min(lambda x: ternary_min(
+        lambda y: cert(math.exp(x), math.exp(y)), -30, 30), -30, 30)
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 500])
+def test_edge_ceiling_of_wigner_profile_is_two(n):
+    assert ceiling(wigner_profile(n)) == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("rows,cols", [(60, 120), (50, 50), (30, 270), (120, 60)])
+def test_edge_ceiling_of_constant_gram_profile_is_marchenko_pastur(rows, cols):
+    # entries 1/cols: squared singular values fill [(1 - r)^2, (1 + r)^2]
+    # with r = sqrt(rows / cols)
+    edge = 1 + math.sqrt(rows / cols)
+    got = ceiling(gram_linearize(np.full((rows, cols), 1.0 / cols)))
+    assert edge * (1 - 1e-12) <= got <= edge * (1 + _CEILING_WIDTH)
+
+
+@pytest.mark.parametrize("args", [
+    (40, 20, 0.025, 0.025, 0.005), (30, 30, 1 / 30, 0.5 / 30, 0.2 / 30),
+    (10, 50, 0.02, 0.02, 0.004), (10, 50, 0.05, 0.02, 0.002),
+    (50, 10, 0.02, 0.0, 0.1)])
+def test_edge_ceiling_of_two_block_profile(args):
+    edge = two_block_edge(*args)
+    got = ceiling(block_profile(*args))
+    assert edge * (1 - 1e-12) <= got <= edge * (1 + _CEILING_WIDTH)
+
+
+@pytest.mark.parametrize("grid_step", [1e-3, 1e-2])
+@pytest.mark.parametrize("s", SCAN_PROFILES, ids=SCAN_IDS)
+def test_edge_ceiling_lies_between_the_scan_and_the_row_sum_bound(s, grid_step):
+    est = estimate_support(s, grid_step=grid_step)
+    got = ceiling(s)
+    assert est.value - grid_step <= got <= 2 * math.sqrt(inf_norm(s))
+
+
+def test_edge_ceiling_of_exp500_is_within_its_width_of_the_edge():
+    # 3.6814652 is the exact edge of exp500 from the fold of the QVE
+    got = ceiling(exp_profile(500))
+    assert 3.6814652 * (1 - 1e-7) <= got <= 3.6814652 * (1 + _CEILING_WIDTH)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_a=st.floats(-8.0, 8.0), seed=st.integers(0, 3))
+def test_edge_ceiling_is_scale_equivariant(log_a, seed):
+    a = 10.0 ** log_a
+    s = random_profile(30, seed=seed)
+    scaled = VarianceMatrix(a * s.entries)
+    assert ceiling(scaled) == pytest.approx(math.sqrt(a) * ceiling(s),
+                                            rel=_CEILING_WIDTH)
 
 
 # ----------------------------------------------------------------- moments
