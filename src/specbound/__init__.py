@@ -62,16 +62,12 @@ from .dyck import (  # noqa: E402
 from .treeval import (  # noqa: E402
     chopping_bound_check,
     forest_val,
-    naive_tree_val,
-    tree_val,
     tree_val_vector,
 )
 from .walks import (  # noqa: E402
     floor_walk_closed_form,
     floor_walk_step_product,
-    pbot_probability,
     stopped_walk_generating_function,
-    stopped_walk_series_exhaustive,
 )
 from .qve import (  # noqa: E402
     MomentTable,

@@ -98,18 +98,6 @@ class BoundReport:
             tol=tol,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "J": self.J,
-            "norm_s": self.norm_s,
-            "w_c": self.w_c,
-            "trivial_bound": self.trivial_bound,
-            "improved_bound": self.improved_bound,
-            "z": [float(v) for v in self.z],
-            "tol": self.tol,
-        }
-
 
 def support_bound(s: VarianceMatrix, J: int = 50, tol: float = 1e-12) -> BoundReport:
     """Compute trivial and improved support bounds for a profile.

@@ -7,11 +7,13 @@ eigenvalue, ``oracle`` runs the exhaustive combinatorial checks, and
 ``report`` combines all of them into one comparison.
 
 Machine-readable output is JSON on stdout (optionally mirrored to a
-file); the human summary goes to stderr so pipelines stay clean. CSV
-is emitted only for density scans. Exit codes: 0 on success, 2 for
-input problems, 3 for numeric failures. The environment variable
-SPECBOUND_THREADS caps the threads used by the underlying linear
-algebra when it is set before the first import.
+file); the human summary goes to stderr so pipelines stay clean. This
+module alone lays out that JSON: a manifest, then the fields of the
+result dataclasses in declaration order, as ``dataclasses.asdict``
+gives them. CSV is emitted only for density scans. Exit codes: 0 on
+success, 2 for input problems, 3 for numeric failures. The environment
+variable SPECBOUND_THREADS caps the threads used by the underlying
+linear algebra when it is set before the first import.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +114,9 @@ def _manifest(command, params, started):
 def _emit(args, payload, summary_lines):
     for line in summary_lines:
         print(line, file=sys.stderr)
-    blob = json.dumps(payload, indent=2)
+    # result dataclasses go in through asdict; their one array field, the
+    # bound's z, is written as a list
+    blob = json.dumps(payload, indent=2, default=np.ndarray.tolist)
     print(blob)
     if getattr(args, "json", None):
         Path(args.json).write_text(blob + "\n")
@@ -122,7 +127,7 @@ def cmd_bound(args):
     s, desc = _resolve_source(args)
     rep = support_bound(s, J=args.j, tol=args.tol)
     params = {"source": desc, "j": args.j, "tol": args.tol}
-    payload = {"manifest": _manifest("bound", params, started), **rep.to_dict()}
+    payload = {"manifest": _manifest("bound", params, started), **asdict(rep)}
     _emit(args, payload, [
         f"profile: {desc}",
         f"trivial bound   {rep.trivial_bound:.6f}",
@@ -142,7 +147,7 @@ def cmd_qve(args):
                            threshold=args.threshold)
     params = {"source": desc, "eta": args.eta, "grid_step": args.grid_step,
               "threshold": args.threshold}
-    payload = {"manifest": _manifest("qve", params, started), **est.to_dict()}
+    payload = {"manifest": _manifest("qve", params, started), **asdict(est)}
     lines = [f"profile: {desc}"]
     if est.found:
         lines.append(
@@ -169,7 +174,7 @@ def cmd_mc(args):
     res = mc_experiment(s, cfg)
     params = {"source": desc, "trials": args.trials, "seed": args.seed,
               "ensemble": args.ensemble}
-    payload = {"manifest": _manifest("mc", params, started), **res.to_dict()}
+    payload = {"manifest": _manifest("mc", params, started), **asdict(res)}
     _emit(args, payload, [
         f"profile: {desc}",
         f"mean |lambda|_max = {res.mean:.4f} +/- {res.std:.4f} "
@@ -231,10 +236,10 @@ def cmd_report(args):
         "improved_bound": rep.improved_bound,
         "w_c": rep.w_c,
         "J": rep.J,
-        "support_estimate": est.to_dict(),
+        "support_estimate": asdict(est),
         "moment_proxy": proxy,
         "moment_kmax": args.kmax,
-        "mc": mc.to_dict(),
+        "mc": asdict(mc),
     }
     lines = [
         f"profile: {desc}",

@@ -101,10 +101,6 @@ class PlaneTree:
     def edge_count(self) -> int:
         return len(self.children) + sum(c.edge_count for c in self.children)
 
-    @property
-    def n_vertices(self) -> int:
-        return 1 + self.edge_count
-
 
 @dataclass(frozen=True)
 class Forest:

@@ -117,13 +117,9 @@ class NormSequence:
 _TINY = float(np.finfo(float).tiny)
 
 
-def _row_sums(entries: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    # single shared matvec path so that repeated norms divide out exactly
-    return entries @ vec
-
 def inf_norm(s: VarianceMatrix) -> float:
     """Max row sum norm of a variance profile."""
-    return float(_row_sums(s.entries, np.ones(s.n)).max())
+    return float((s.entries @ np.ones(s.n)).max())
 
 
 def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
@@ -140,12 +136,12 @@ def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
         raise InputError(f"J must be at least 1, got {J}")
     entries = s.entries
     u = np.ones(s.n)
-    norm = float(_row_sums(entries, u).max())
+    norm = float((entries @ u).max())
     if norm == 0.0:
         raise ZeroMatrixError("the zero matrix has no norm sequence")
     z = np.empty(J)
     for j in range(J):
-        u = _row_sums(entries, u) / norm
+        u = (entries @ u) / norm
         z[j] = min(max(u.max(), _TINY), 1.0)
     return NormSequence(norm_s=norm, z=z)
 
@@ -217,7 +213,10 @@ def load_dense(path) -> np.ndarray:
     Rows may be rectangular (all the same length).  Malformed content
     raises MatrixFormatError with the offending line.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not a text file: {exc}") from None
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise MatrixFormatError(f"{path}: file is empty")
@@ -225,7 +224,7 @@ def load_dense(path) -> np.ndarray:
     m = _CSV_HEADER.match(head)
     if m:
         nrows, sep = int(m.group(1)), ","
-    elif head.isdigit():
+    elif head.isdecimal():  # isdigit() also passes '²', which int() rejects
         nrows, sep = int(head), None
     else:
         raise MatrixFormatError(

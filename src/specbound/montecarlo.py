@@ -65,19 +65,6 @@ class McResult:
     failures: int
     elapsed: float = field(compare=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "ensemble": self.ensemble,
-            "per_trial": list(self.per_trial),
-            "mean": self.mean,
-            "std": self.std,
-            "std_defined": self.std_defined,
-            "failures": self.failures,
-            "elapsed": self.elapsed,
-        }
-
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, reproducible RNG stream for one trial."""

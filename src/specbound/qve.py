@@ -91,16 +91,6 @@ class SupportEstimate:
     threshold: float
     grid_top: float
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "found": self.found,
-            "eta": self.eta,
-            "grid_step": self.grid_step,
-            "threshold": self.threshold,
-            "grid_top": self.grid_top,
-        }
-
 
 @dataclass(frozen=True)
 class MomentTable:

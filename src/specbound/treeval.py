@@ -8,8 +8,7 @@ of summed, and the component values multiply.
 Values are computed by leaf-to-root contraction: a leaf contributes the
 all-ones vector, and each vertex multiplies together S times the vectors
 of its children, entrywise.  That turns the naive N^(vertices-1) label
-sum into a handful of matrix-vector products.  The naive sum is kept,
-guarded to tiny sizes, as a cross-check oracle.
+sum into a handful of matrix-vector products.
 
 These values are what the support bound actually controls: every tree
 with k edges satisfies val <= |S|^k * z^(run statistics of its path),
@@ -19,8 +18,6 @@ splitting, exhaustively for small k.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -38,8 +35,6 @@ from .linalg import VarianceMatrix, norm_sequence
 
 __all__ = [
     "tree_val_vector",
-    "tree_val",
-    "naive_tree_val",
     "forest_val",
     "chopping_bound_check",
 ]
@@ -66,43 +61,6 @@ def tree_val_vector(s: VarianceMatrix, tree: PlaneTree) -> np.ndarray:
         return v
 
     return contract(tree)
-
-
-def tree_val(s: VarianceMatrix, tree: PlaneTree, x: int) -> float:
-    """Value of the tree with the root label fixed to x."""
-    if not 0 <= x < s.n:
-        raise InputError(f"root label {x} outside [0, {s.n})")
-    return float(tree_val_vector(s, tree)[x])
-
-
-def naive_tree_val(s: VarianceMatrix, tree: PlaneTree, x: int) -> float:
-    """Literal sum over all labelings; exponential cost, oracle use only."""
-    k = tree.edge_count
-    if k > 5 or s.n > 5:
-        raise SizeGuardError(
-            f"naive evaluation guarded to k <= 5 and N <= 5, got k={k}, N={s.n}"
-        )
-    if not 0 <= x < s.n:
-        raise InputError(f"root label {x} outside [0, {s.n})")
-    # collect edges as (parent index, child index) over a preorder listing
-    edges = []
-
-    def walk(t, my_id):
-        for child in t.children:
-            child_id = len(edges) + 1
-            edges.append((my_id, child_id))
-            walk(child, child_id)
-
-    walk(tree, 0)
-    entries = s.entries
-    total = 0.0
-    for labels in itertools.product(range(s.n), repeat=k):
-        full = (x,) + labels
-        prod = 1.0
-        for a, b in edges:
-            prod *= entries[full[a], full[b]]
-        total += prod
-    return total
 
 
 def forest_val(s: VarianceMatrix, f) -> float:

@@ -6,7 +6,8 @@ of a whole step sequence telescopes to the closed form
 
     (1/2)^n * (h + 1 + sum of steps) / (h + 1),
 
-which this module evaluates both ways and cross-checks on every call.
+which this module evaluates both ways: once as a product of per-step
+factors and once through the telescoped formula.
 
 Weighting the up-runs of a free simple walk by the norm sequence z and
 stopping the walk at a geometric time with parameter w gives a
@@ -16,31 +17,22 @@ generating function with the closed form
     A(w) = sum_j (w/2)^j z_j   (z_j := 1 beyond J),
 
 whose denominator is exactly the root function of the bound module: its
-smallest positive pole is the critical w.  A brute-force evaluator that
-enumerates all 2^n walks up to a cutoff length is provided as the
-ground truth for the closed form.
+smallest positive pole is the critical w.
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .bounds import critical_w, root_function
-from .dyck import run_statistics, run_z_weight
-from .errors import DomainError, InputError, SizeGuardError, ToleranceError
+from .errors import DomainError, InputError
 from .linalg import NormSequence
 
 __all__ = [
     "floor_walk_step_product",
     "floor_walk_closed_form",
-    "pbot_probability",
     "stopped_walk_generating_function",
-    "stopped_walk_series_exhaustive",
 ]
-
-_SERIES_LIMIT = 20
 
 
 def _validated_steps(h: int, omega) -> tuple:
@@ -84,17 +76,6 @@ def floor_walk_closed_form(h: int, omega) -> float:
     return 0.5**n * (h + 1 + sum(steps)) / (h + 1)
 
 
-def pbot_probability(h: int, omega) -> float:
-    """Floor-walk probability, computed both ways and cross-checked."""
-    a = floor_walk_step_product(h, omega)
-    b = floor_walk_closed_form(h, omega)
-    if abs(a - b) > 1e-14:
-        raise ToleranceError(
-            f"step product {a!r} and closed form {b!r} disagree"
-        )
-    return b
-
-
 def _prefix(ns: NormSequence, J: int) -> NormSequence:
     if not 1 <= J <= ns.J:
         raise InputError(f"J must be in [1, {ns.J}], got {J}")
@@ -123,28 +104,3 @@ def stopped_walk_generating_function(ns: NormSequence, J: int, w: float) -> floa
         raise DomainError(f"w={w} is at or beyond the pole near w={wc:.12g}")
     return (1.0 - w) * series / denom
 
-
-def stopped_walk_series_exhaustive(
-    ns: NormSequence, J: int, w: float, n_max: int = 14
-) -> float:
-    """Ground truth for the generating function by full enumeration.
-
-    Sums (1 - w) w^n E[z-weight] over walk lengths n = 0..n_max, where
-    the expectation runs over all 2^n equally likely +-1 walks.  For
-    0 <= w < 1 the truncation error is at most w^(n_max+1) / (1 - w).
-    """
-    sub = _prefix(ns, J)
-    if n_max > _SERIES_LIMIT:
-        raise SizeGuardError(
-            f"enumeration is limited to n_max <= {_SERIES_LIMIT}, got {n_max}"
-        )
-    if w < 0:
-        raise DomainError(f"w must be nonnegative, got {w}")
-    z = sub.z
-    total = 1.0  # empty walk
-    for n in range(1, n_max + 1):
-        acc = 0.0
-        for walk in itertools.product((1, -1), repeat=n):
-            acc += run_z_weight(run_statistics(walk, J), z, "up")
-        total += w**n * acc / 2**n
-    return (1.0 - w) * total

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from _oracles import pbot_probability, stopped_walk_series_exhaustive
 from conftest import ACCEPTANCE_LINES
 
 from specbound.bounds import critical_w, support_bound
@@ -22,9 +23,7 @@ from specbound.treeval import chopping_bound_check, tree_val_vector
 from specbound.walks import (
     floor_walk_closed_form,
     floor_walk_step_product,
-    pbot_probability,
     stopped_walk_generating_function,
-    stopped_walk_series_exhaustive,
 )
 
 SMALL_PROFILES = [(4, 0), (6, 1), (8, 2), (6, 3), (4, 4)]

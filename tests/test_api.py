@@ -1,0 +1,52 @@
+"""The public surface: what ``specbound`` exports and what it no longer ships."""
+
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import specbound
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+LIBRARY_MODULES = ["errors", "linalg", "bounds", "dyck", "treeval", "walks",
+                   "qve", "montecarlo"]
+
+# brute-force evaluators that live in tests/_oracles.py
+TEST_ORACLES = ["naive_tree_val", "tree_val", "pbot_probability",
+                "stopped_walk_series_exhaustive"]
+
+
+@pytest.mark.parametrize("name", LIBRARY_MODULES)
+def test_module_exports_match_the_package(name):
+    mod = importlib.import_module(f"specbound.{name}")
+    top = {n: obj for n, obj in vars(specbound).items()
+           if not n.startswith("_") and not inspect.ismodule(obj)}
+    from_here = {n for n, obj in top.items()
+                 if getattr(obj, "__module__", None) == mod.__name__}
+    defined = {n for n, obj in vars(mod).items()
+               if not n.startswith("_")
+               and getattr(obj, "__module__", None) == mod.__name__}
+    assert set(getattr(mod, "__all__", defined)) == from_here
+    for n in from_here:
+        assert top[n] is getattr(mod, n)
+
+
+def test_readme_library_import_resolves():
+    text = README.read_text()
+    section = text[text.index("## Library"):]
+    stmt = re.search(r"from specbound import \([^)]*\)", section).group(0)
+    namespace = {}
+    exec(stmt, namespace)
+    assert "support_bound" in namespace
+
+
+@pytest.mark.parametrize("name", ["specbound", *(
+    f"specbound.{m.name}" for m in pkgutil.iter_modules(specbound.__path__))])
+def test_test_oracles_are_not_shipped(name):
+    mod = importlib.import_module(name)
+    for oracle in TEST_ORACLES:
+        assert not hasattr(mod, oracle), f"{name}.{oracle}"

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -202,8 +203,7 @@ def test_deep_truncation_survives_norm_sequence_underflow():
 
 def test_report_serializes_to_json():
     rep = support_bound(exp_profile(50), J=10)
-    d = rep.to_dict()
-    blob = json.loads(json.dumps(d))
+    blob = json.loads(json.dumps(asdict(rep), default=np.ndarray.tolist))
     for key in ("n", "J", "norm_s", "w_c", "trivial_bound", "improved_bound", "z", "tol"):
         assert key in blob
     assert len(blob["z"]) == 10

@@ -33,6 +33,11 @@ def test_bound_constant_profile(capsys):
     assert payload["trivial_bound"] == pytest.approx(2.0, abs=1e-12)
     assert payload["improved_bound"] == pytest.approx(2.0, abs=1e-9)
     assert payload["w_c"] == pytest.approx(1.0, abs=1e-9)
+    for key in ("n", "J", "norm_s", "w_c", "trivial_bound", "improved_bound",
+                "z", "tol"):
+        assert key in payload
+    assert len(payload["z"]) == 10
+    assert payload["z"][0] == 1.0
     assert payload["manifest"]["command"] == "bound"
     assert payload["manifest"]["parameters"]["j"] == 10
     assert "version" in payload["manifest"]
@@ -65,6 +70,18 @@ def test_bound_deep_j_on_star_profile_file(tmp_path, capsys):
     code, payload, _ = invoke(capsys, "bound", "--matrix", str(f), "--j", "250")
     assert code == 0
     assert payload["w_c"] == pytest.approx(1.23573, abs=1e-5)
+
+
+def test_bound_undecodable_matrix_files_exit_2(tmp_path, capsys):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe2\n1 2\n")
+    superscript = tmp_path / "superscript.txt"
+    superscript.write_bytes("²\n1 2\n".encode())
+    for source in (("--matrix", str(binary)), ("--profile", f"gram:{superscript}")):
+        code, payload, err = invoke(capsys, "bound", *source)
+        assert code == 2
+        assert payload is None
+        assert err.startswith("error: ")
 
 
 def test_bound_missing_file(capsys):
@@ -167,8 +184,13 @@ def test_mc_command(capsys):
     code, payload, err = invoke(capsys, "mc", "--profile", "wigner",
                                 "--n", "30", "--trials", "3", "--seed", "2")
     assert code == 0
+    assert payload["trials"] == 3
+    assert payload["seed"] == 2
+    assert payload["ensemble"] == "real-symmetric"
     assert len(payload["per_trial"]) == 3
     assert payload["failures"] == 0
+    assert payload["mean"] == pytest.approx(sum(payload["per_trial"]) / 3)
+    assert payload["std"] > 0 and payload["std_defined"]
     assert 1.4 < payload["mean"] < 2.2
     assert payload["manifest"]["parameters"]["trials"] == 3
     assert "mean |lambda|_max" in err

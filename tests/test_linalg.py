@@ -249,17 +249,19 @@ def test_load_rectangular_for_gram(tmp_path):
 @pytest.mark.parametrize(
     "content",
     [
-        "",                      # empty
-        "x\n1 2\n2 1\n",         # bad header
-        "2\n1 2\n",              # missing row
-        "2\n1 2\n3\n",           # ragged row
-        "2\n1 a\n2 1\n",         # bad token
-        "n=2\n1,2\n",            # csv missing row
+        b"",                      # empty
+        b"x\n1 2\n2 1\n",         # bad header
+        b"2\n1 2\n",              # missing row
+        b"2\n1 2\n3\n",           # ragged row
+        b"2\n1 a\n2 1\n",         # bad token
+        b"n=2\n1,2\n",            # csv missing row
+        b"\xff\xfe2\n1 2\n",       # not UTF-8
+        "\u00b2\n1\n".encode(),     # superscript two: isdigit() but not int()
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, content):
     p = tmp_path / "bad.txt"
-    p.write_text(content)
+    p.write_bytes(content)
     with pytest.raises(MatrixFormatError):
         load_dense(p)
 

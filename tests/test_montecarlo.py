@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ def test_failures_are_counted_and_excluded(monkeypatch):
 
 def test_result_serializes_to_json():
     res = mc_experiment(wigner_profile(15), McConfig(trials=2, seed=23))
-    blob = json.loads(json.dumps(res.to_dict()))
+    blob = json.loads(json.dumps(asdict(res)))
     assert blob["trials"] == 2
     assert blob["seed"] == 23
     assert blob["ensemble"] == "real-symmetric"

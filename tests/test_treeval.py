@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from _oracles import naive_tree_val, tree_val
 from specbound.dyck import (
     DyckPath,
     Forest,
@@ -20,8 +21,6 @@ from specbound.linalg import VarianceMatrix, exp_profile, norm_sequence, wigner_
 from specbound.treeval import (
     chopping_bound_check,
     forest_val,
-    naive_tree_val,
-    tree_val,
     tree_val_vector,
 )
 

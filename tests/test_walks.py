@@ -3,15 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from _oracles import pbot_probability, stopped_walk_series_exhaustive
 from specbound.bounds import critical_w
 from specbound.errors import DomainError, InputError, SizeGuardError
 from specbound.linalg import NormSequence, exp_profile, norm_sequence
 from specbound.walks import (
     floor_walk_closed_form,
     floor_walk_step_product,
-    pbot_probability,
     stopped_walk_generating_function,
-    stopped_walk_series_exhaustive,
 )
 
 WC_HALF_DECAY = 1.033330823615332880248623
