@@ -14,7 +14,7 @@ grows toward its limit as J increases.
 
 phi is strictly decreasing on [0, 2) with phi(0) = 1, phi(1) >= 0 and
 phi(w) -> -infinity as w -> 2, which makes bisection both safe and
-exact up to the requested bracket width.
+exact up to a bracket of width 1e-12.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .linalg import NormSequence, VarianceMatrix, norm_sequence
 
 __all__ = ["root_function", "critical_w", "support_bound", "BoundReport"]
 
-_MAX_BISECT = 500
+_BRACKET = 1e-12
 
 
 def root_function(w: float, ns: NormSequence) -> float:
@@ -47,27 +47,22 @@ def root_function(w: float, ns: NormSequence) -> float:
     return 1.0 - x * (head + tail)
 
 
-def critical_w(ns: NormSequence, tol: float = 1e-12) -> float:
+def critical_w(ns: NormSequence) -> float:
     """Locate the root of phi by bisection on [0, 2).
 
-    The result is the midpoint of a bracket of width at most ``tol``.
+    The result is the midpoint of a bracket of width at most 1e-12,
+    reached after 41 halvings of [0, 2).
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
     lo, hi = 0.0, 2.0 - 1e-14
     if root_function(hi, ns) >= 0.0:
         raise ToleranceError("no sign change on [0, 2); norm sequence is invalid")
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= tol:
-            return (lo + hi) / 2.0
+    while hi - lo > _BRACKET:
         mid = (lo + hi) / 2.0
         if root_function(mid, ns) > 0.0:
             lo = mid
         else:
             hi = mid
-    raise ToleranceError(
-        f"bisection bracket stalled at width {hi - lo:g} (requested {tol:g})"
-    )
+    return (lo + hi) / 2.0
 
 
 @dataclass(frozen=True)
@@ -81,11 +76,10 @@ class BoundReport:
     trivial_bound: float
     improved_bound: float
     z: np.ndarray = field(repr=False)
-    tol: float = 1e-12
 
     @classmethod
-    def from_sequence(cls, ns: NormSequence, n: int, tol: float = 1e-12) -> "BoundReport":
-        wc = critical_w(ns, tol=tol)
+    def from_sequence(cls, ns: NormSequence, n: int) -> "BoundReport":
+        wc = critical_w(ns)
         trivial = 2.0 * math.sqrt(ns.norm_s)
         return cls(
             n=n,
@@ -95,15 +89,14 @@ class BoundReport:
             trivial_bound=trivial,
             improved_bound=trivial / wc,
             z=np.array(ns.z),
-            tol=tol,
         )
 
 
-def support_bound(s: VarianceMatrix, J: int = 50, tol: float = 1e-12) -> BoundReport:
+def support_bound(s: VarianceMatrix, J: int = 50) -> BoundReport:
     """Compute trivial and improved support bounds for a profile.
 
     ``J`` is the number of norm sequence terms used; deeper sequences can
     only tighten the improved bound.
     """
     ns = norm_sequence(s, J)
-    return BoundReport.from_sequence(ns, n=s.n, tol=tol)
+    return BoundReport.from_sequence(ns, n=s.n)

@@ -32,7 +32,7 @@ from . import __version__
 from .bounds import support_bound
 from .dyck import catalan, enumerate_trees
 from .errors import InputError, NumericError
-from .linalg import load_matrix, resolve_profile
+from .linalg import resolve_profile
 from .montecarlo import ENSEMBLES, McConfig, mc_experiment
 from .qve import (
     density_scan,
@@ -49,7 +49,6 @@ def _source_flags(parser):
         help="generator name (wigner, expprofile, random, gram:<path>) "
         "or the path of a square matrix file",
     )
-    parser.add_argument("--matrix", help="path of a square matrix file")
     parser.add_argument("--n", type=int, help="size for generated profiles")
     parser.add_argument(
         "--profile-seed", type=int, default=0,
@@ -89,22 +88,23 @@ def _output_flags(parser):
                         help="also write the JSON report to this file")
 
 
-def _resolve_source(args, default_profile=None, default_n=None):
-    if getattr(args, "matrix", None):
-        if args.profile:
-            raise InputError("give either --profile or --matrix, not both")
-        s = load_matrix(args.matrix, repair=args.repair)
-        return s, {"profile": "file", "path": args.matrix, "n": s.n}
-    name = args.profile or default_profile
-    if name is None:
-        raise InputError("a matrix source is required: --profile NAME or --matrix PATH")
-    n = args.n if args.n is not None else default_n
-    return resolve_profile(name, n=n, seed=args.profile_seed, repair=args.repair)
+def _resolve_source(args):
+    if not args.profile:
+        raise InputError("a matrix source is required: --profile NAME|PATH")
+    return resolve_profile(args.profile, n=args.n, seed=args.profile_seed,
+                           repair=args.repair)
 
 
-def _manifest(command, params, started):
+# parsed options the manifest leaves out: the dispatch entries, the output
+# mirror, and the three that the source descriptor already resolves
+_UNRECORDED = ("command", "func", "json", "profile", "n", "profile_seed")
+
+
+def _manifest(args, desc, started):
+    params = {"source": desc}
+    params.update((k, v) for k, v in vars(args).items() if k not in _UNRECORDED)
     return {
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "version": __version__,
         "wall_clock_seconds": round(time.perf_counter() - started, 6),
@@ -125,9 +125,8 @@ def _emit(args, payload, summary_lines):
 def cmd_bound(args):
     started = time.perf_counter()
     s, desc = _resolve_source(args)
-    rep = support_bound(s, J=args.j, tol=args.tol)
-    params = {"source": desc, "j": args.j, "tol": args.tol}
-    payload = {"manifest": _manifest("bound", params, started), **asdict(rep)}
+    rep = support_bound(s, J=args.j)
+    payload = {"manifest": _manifest(args, desc, started), **asdict(rep)}
     _emit(args, payload, [
         f"profile: {desc}",
         f"trivial bound   {rep.trivial_bound:.6f}",
@@ -145,9 +144,7 @@ def cmd_qve(args):
     s, desc = _resolve_source(args)
     est = estimate_support(s, eta=args.eta, grid_step=args.grid_step,
                            threshold=args.threshold)
-    params = {"source": desc, "eta": args.eta, "grid_step": args.grid_step,
-              "threshold": args.threshold}
-    payload = {"manifest": _manifest("qve", params, started), **asdict(est)}
+    payload = {"manifest": _manifest(args, desc, started), **asdict(est)}
     lines = [f"profile: {desc}"]
     if est.found:
         lines.append(
@@ -172,9 +169,7 @@ def cmd_mc(args):
     s, desc = _resolve_source(args)
     cfg = McConfig(trials=args.trials, seed=args.seed, ensemble=args.ensemble)
     res = mc_experiment(s, cfg)
-    params = {"source": desc, "trials": args.trials, "seed": args.seed,
-              "ensemble": args.ensemble}
-    payload = {"manifest": _manifest("mc", params, started), **asdict(res)}
+    payload = {"manifest": _manifest(args, desc, started), **asdict(res)}
     _emit(args, payload, [
         f"profile: {desc}",
         f"mean |lambda|_max = {res.mean:.4f} +/- {res.std:.4f} "
@@ -185,7 +180,7 @@ def cmd_mc(args):
 
 def cmd_oracle(args):
     started = time.perf_counter()
-    s, desc = _resolve_source(args, default_profile="random", default_n=6)
+    s, desc = _resolve_source(args)
     chopping = chopping_bound_check(s, args.k)
     table = moment_recursion(s, kmax=args.k)
     max_gap = 0.0
@@ -196,9 +191,8 @@ def cmd_oracle(args):
         scale = max(float(np.abs(total).max()), 1e-300)
         max_gap = max(max_gap, float(np.abs(table.c[:, k] - total).max()) / scale)
     moment_match = {"kmax": args.k, "max_rel_gap": max_gap, "ok": max_gap <= 1e-8}
-    params = {"source": desc, "k": args.k}
     payload = {
-        "manifest": _manifest("oracle", params, started),
+        "manifest": _manifest(args, desc, started),
         "chopping": chopping,
         "moment_match": moment_match,
         "moments_first_row": [float(v) for v in table.c[0]],
@@ -227,11 +221,8 @@ def cmd_report(args):
                            threshold=args.threshold)
     cfg = McConfig(trials=args.trials, seed=args.seed, ensemble=args.ensemble)
     mc = mc_experiment(s, cfg)
-    params = {"source": desc, "j": args.j, "kmax": args.kmax, "eta": args.eta,
-              "grid_step": args.grid_step, "threshold": args.threshold,
-              "trials": args.trials, "seed": args.seed, "ensemble": args.ensemble}
     payload = {
-        "manifest": _manifest("report", params, started),
+        "manifest": _manifest(args, desc, started),
         "trivial_bound": rep.trivial_bound,
         "improved_bound": rep.improved_bound,
         "w_c": rep.w_c,
@@ -273,8 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bound", help="row-sum support bound")
     _source_flags(b)
     _bound_flags(b)
-    b.add_argument("--tol", type=float, default=1e-12,
-                   help="root-finding tolerance (default 1e-12)")
     _output_flags(b)
     b.set_defaults(func=cmd_bound)
 
@@ -299,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--k", type=int, default=5,
                    help="edge count of the enumerated trees (default 5)")
     _output_flags(o)
-    o.set_defaults(func=cmd_oracle)
+    o.set_defaults(func=cmd_oracle, profile="random", n=6)
 
     r = sub.add_parser("report", help="combined comparison of all estimates")
     _source_flags(r)

@@ -184,18 +184,16 @@ def exp_profile(n: int) -> VarianceMatrix:
     return VarianceMatrix(np.outer(v, v) / n)
 
 
-def random_profile(n: int, seed: int, scale: float | None = None) -> VarianceMatrix:
-    """Seeded random symmetric profile with entries of mean scale/2.
+def random_profile(n: int, seed: int) -> VarianceMatrix:
+    """Seeded random symmetric profile with entries of mean 1/(2n).
 
-    The default scale 1/n keeps the norm of order one as n grows.
+    The 1/n scale keeps the norm of order one as n grows.
     """
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     rng = np.random.default_rng(seed)
     a = rng.random((n, n))
-    if scale is None:
-        scale = 1.0 / n
-    return VarianceMatrix((a + a.T) / 2 * scale)
+    return VarianceMatrix((a + a.T) / 2 * (1.0 / n))
 
 
 _CSV_HEADER = re.compile(r"^n\s*=\s*(\d+)$")

@@ -102,7 +102,7 @@ def spectral_radius(h) -> float:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise InputError(f"need a square matrix, got shape {h.shape}")
-    if not np.allclose(h, h.conj().T, rtol=1e-12, atol=1e-12):
+    if not np.array_equal(h, h.conj().T):
         raise InputError("matrix is not symmetric/hermitian")
     return float(np.abs(np.linalg.eigvalsh(h)).max(initial=0.0))
 

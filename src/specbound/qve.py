@@ -104,10 +104,6 @@ class MomentTable:
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
-    @property
-    def n(self) -> int:
-        return self.c.shape[0]
-
 
 def _check_z(z) -> complex:
     z = complex(z)

@@ -1,5 +1,4 @@
 import json
-import math
 from dataclasses import asdict
 
 import numpy as np
@@ -94,18 +93,9 @@ def test_critical_w_brackets_a_sign_change():
 
 
 def test_critical_w_tolerance_parameter():
+    # the bisection bracket is fixed at 1e-12
     ns = NormSequence(norm_s=1.0, z=np.array([1.0, 0.5]))
-    coarse = critical_w(ns, tol=1e-4)
-    fine = critical_w(ns, tol=1e-14)
-    assert abs(coarse - fine) < 1e-4
-    assert abs(fine - WC_HALF_DECAY) < 1e-12
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
-def test_critical_w_rejects_bad_tolerance(tol):
-    ns = NormSequence(norm_s=1.0, z=np.array([1.0, 0.5]))
-    with pytest.raises(DomainError, match="tol"):
-        critical_w(ns, tol=tol)
+    assert abs(critical_w(ns) - WC_HALF_DECAY) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -204,7 +194,7 @@ def test_deep_truncation_survives_norm_sequence_underflow():
 def test_report_serializes_to_json():
     rep = support_bound(exp_profile(50), J=10)
     blob = json.loads(json.dumps(asdict(rep), default=np.ndarray.tolist))
-    for key in ("n", "J", "norm_s", "w_c", "trivial_bound", "improved_bound", "z", "tol"):
+    for key in ("n", "J", "norm_s", "w_c", "trivial_bound", "improved_bound", "z"):
         assert key in blob
     assert len(blob["z"]) == 10
     assert blob["z"][0] == 1.0

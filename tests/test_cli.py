@@ -34,7 +34,7 @@ def test_bound_constant_profile(capsys):
     assert payload["improved_bound"] == pytest.approx(2.0, abs=1e-9)
     assert payload["w_c"] == pytest.approx(1.0, abs=1e-9)
     for key in ("n", "J", "norm_s", "w_c", "trivial_bound", "improved_bound",
-                "z", "tol"):
+                "z"):
         assert key in payload
     assert len(payload["z"]) == 10
     assert payload["z"][0] == 1.0
@@ -56,7 +56,7 @@ def test_bound_exponential_profile_full_size(capsys):
 def test_bound_rejects_asymmetric_matrix(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     write_plain(bad, [[0.0, 1.0], [2.0, 0.0]])
-    code, _, err = invoke(capsys, "bound", "--matrix", str(bad))
+    code, _, err = invoke(capsys, "bound", "--profile", str(bad))
     assert code == 2
     assert "(0, 1)" in err
 
@@ -67,7 +67,7 @@ def test_bound_deep_j_on_star_profile_file(tmp_path, capsys):
     n = 1000
     write_plain(f, [[int(x == 0 or y == 0) * int(x != y) for y in range(n)]
                     for x in range(n)])
-    code, payload, _ = invoke(capsys, "bound", "--matrix", str(f), "--j", "250")
+    code, payload, _ = invoke(capsys, "bound", "--profile", str(f), "--j", "250")
     assert code == 0
     assert payload["w_c"] == pytest.approx(1.23573, abs=1e-5)
 
@@ -77,7 +77,7 @@ def test_bound_undecodable_matrix_files_exit_2(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe2\n1 2\n")
     superscript = tmp_path / "superscript.txt"
     superscript.write_bytes("²\n1 2\n".encode())
-    for source in (("--matrix", str(binary)), ("--profile", f"gram:{superscript}")):
+    for source in (("--profile", str(binary)), ("--profile", f"gram:{superscript}")):
         code, payload, err = invoke(capsys, "bound", *source)
         assert code == 2
         assert payload is None
@@ -85,7 +85,7 @@ def test_bound_undecodable_matrix_files_exit_2(tmp_path, capsys):
 
 
 def test_bound_missing_file(capsys):
-    code, _, err = invoke(capsys, "bound", "--matrix", "/nonexistent/m.txt")
+    code, _, err = invoke(capsys, "bound", "--profile", "/nonexistent/m.txt")
     assert code == 2
     assert "error" in err.lower()
 
@@ -96,19 +96,13 @@ def test_bound_requires_a_source(capsys):
     assert "source" in err
 
 
-def test_bound_rejects_conflicting_sources(tmp_path, capsys):
-    f = tmp_path / "m.txt"
-    write_plain(f, [[1.0]])
-    code, _, _ = invoke(capsys, "bound", "--profile", "wigner", "--n", "4",
-                        "--matrix", str(f))
-    assert code == 2
-
-
-def test_bound_rejects_nan_tol(capsys):
-    code, _, err = invoke(capsys, "bound", "--profile", "wigner", "--n", "4",
-                          "--tol", "nan")
-    assert code == 2
-    assert "tol" in err
+@pytest.mark.parametrize("removed", [("--tol", "1e-12"), ("--matrix", "m.txt")],
+                         ids=["tol", "matrix"])
+def test_bound_removed_flags_are_unrecognized(capsys, removed):
+    with pytest.raises(SystemExit) as exc:
+        run(["bound", "--profile", "wigner", "--n", "4", *removed])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_json_file_mirrors_stdout(tmp_path, capsys):
@@ -133,7 +127,7 @@ def test_qve_locates_semicircle_edge(capsys):
 def test_qve_zero_matrix_reports_not_found(tmp_path, capsys):
     f = tmp_path / "zeros.txt"
     write_plain(f, [[0.0] * 4 for _ in range(4)])
-    code, payload, err = invoke(capsys, "qve", "--matrix", str(f))
+    code, payload, err = invoke(capsys, "qve", "--profile", str(f))
     assert code == 0
     assert payload["value"] == 0.0
     assert not payload["found"]
@@ -257,7 +251,7 @@ def test_report_gram_source_carries_note(tmp_path, capsys):
 def test_report_overflow_is_a_numeric_failure(tmp_path, capsys):
     f = tmp_path / "huge.txt"
     write_plain(f, [[1000.0] * 3 for _ in range(3)])
-    code, _, err = invoke(capsys, "report", "--matrix", str(f),
+    code, _, err = invoke(capsys, "report", "--profile", str(f),
                           "--trials", "1", "--kmax", "100")
     assert code == 3
     assert "numeric failure" in err
@@ -273,7 +267,7 @@ def test_report_shares_flag_groups_with_qve_and_mc(capsys):
     report = vars(parser.parse_args(["report"]))
     for sub in ("bound", "qve", "mc"):
         for key, value in vars(parser.parse_args([sub])).items():
-            if key not in ("command", "func", "tol", "csv", "csv_step"):
+            if key not in ("command", "func", "csv", "csv_step"):
                 assert report[key] == value, (sub, key)
 
 
@@ -285,6 +279,35 @@ def strip_clock(payload):
     return out
 
 
+def strip_timing(payload):
+    out = strip_clock(payload)
+    for part in (out, out.get("mc", {})):
+        part.pop("elapsed", None)
+    return out
+
+
+def argv_from_manifest(manifest):
+    """Rebuild a command line from nothing but a manifest."""
+    params = dict(manifest["parameters"])
+    source = params.pop("source")
+    argv = [manifest["command"], "--profile"]
+    if source["profile"] == "file":
+        argv.append(source["path"])
+    elif source["profile"] == "gram":
+        argv.append("gram:" + source["path"])
+    else:
+        argv += [source["profile"], "--n", str(source["n"])]
+        if "seed" in source:
+            argv += ["--profile-seed", str(source["seed"])]
+    for key, value in params.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False and value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
 def test_bound_rerun_is_bitwise_identical(capsys):
     argv = ["bound", "--profile", "random", "--n", "8",
             "--profile-seed", "5", "--j", "12"]
@@ -294,18 +317,35 @@ def test_bound_rerun_is_bitwise_identical(capsys):
     assert strip_clock(a) == strip_clock(b)
 
 
-def test_manifest_parameters_reconstruct_the_run(capsys):
-    code, first, _ = invoke(capsys, "bound", "--profile", "random", "--n", "9",
-                            "--profile-seed", "11", "--j", "7", "--tol", "1e-13")
-    assert code == 0
-    p = first["manifest"]["parameters"]
-    argv = ["bound", "--profile", p["source"]["profile"],
-            "--n", str(p["source"]["n"]),
-            "--profile-seed", str(p["source"]["seed"]),
-            "--j", str(p["j"]), "--tol", str(p["tol"])]
-    code, again, _ = invoke(capsys, *argv)
-    assert code == 0
-    assert strip_clock(again) == strip_clock(first)
+def test_manifest_parameters_reconstruct_the_run(tmp_path, capsys):
+    near = tmp_path / "near.txt"  # off by 1e-12: loads only with --repair
+    write_plain(near, [[0.5, 1.0], [1.0 + 1e-12, 0.25]])
+    rect = tmp_path / "rect.txt"
+    write_plain(rect, [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+    csv_path = tmp_path / "scan.csv"
+    runs = [
+        ["bound", "--profile", "random", "--n", "9", "--profile-seed", "11",
+         "--j", "7"],
+        ["bound", "--profile", str(near), "--repair"],
+        ["qve", "--profile", "wigner", "--n", "10", "--grid-step", "0.01",
+         "--csv", str(csv_path), "--csv-step", "0.1"],
+        ["mc", "--profile", "expprofile", "--n", "20", "--trials", "3",
+         "--seed", "0", "--ensemble", "complex-hermitian"],
+        ["oracle", "--k", "4"],
+        ["report", "--profile", f"gram:{rect}", "--j", "12", "--kmax", "20",
+         "--threshold", "0.02", "--trials", "2"],
+    ]
+    for argv in runs:
+        code, first, _ = invoke(capsys, *argv)
+        assert code == 0, argv
+        csv_first = csv_path.read_bytes() if "--csv" in argv else None
+        csv_path.unlink(missing_ok=True)
+        rebuilt = argv_from_manifest(first["manifest"])
+        code_again, again, _ = invoke(capsys, *rebuilt)
+        assert code_again == code, rebuilt
+        assert strip_timing(again) == strip_timing(first), rebuilt
+        if csv_first is not None:
+            assert csv_path.read_bytes() == csv_first, rebuilt
 
 
 def test_mc_rerun_reproduces_trials(capsys):

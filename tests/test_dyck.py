@@ -9,7 +9,6 @@ from specbound.dyck import (
     DyckPath,
     Forest,
     PlaneTree,
-    RunStats,
     catalan,
     dyck_transition_prob,
     enumerate_dyck,

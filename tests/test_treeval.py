@@ -6,18 +6,16 @@ import pytest
 
 from _oracles import naive_tree_val, tree_val
 from specbound.dyck import (
-    DyckPath,
     Forest,
     PlaneTree,
     enumerate_trees,
-    path_to_tree,
     run_statistics,
     run_z_weight,
     split_vertex,
     tree_to_path,
 )
 from specbound.errors import InputError, InvalidVertexError, SizeGuardError
-from specbound.linalg import VarianceMatrix, exp_profile, norm_sequence, wigner_profile
+from specbound.linalg import VarianceMatrix, norm_sequence, wigner_profile
 from specbound.treeval import (
     chopping_bound_check,
     forest_val,
