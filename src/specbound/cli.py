@@ -56,7 +56,7 @@ def _source_flags(parser):
     )
     parser.add_argument(
         "--repair", action="store_true",
-        help="symmetrize and clamp an almost-valid input matrix",
+        help="symmetrize and clamp an almost-valid square matrix file",
     )
 
 

@@ -62,8 +62,8 @@ class VarianceMatrix:
             else:
                 x, y = np.argwhere(a != a.T)[0]
                 raise InputError(
-                    f"matrix is not symmetric: entry ({x}, {y}) = {a[x, y]!r} "
-                    f"but ({y}, {x}) = {a[y, x]!r}"
+                    f"matrix is not symmetric: entry ({x}, {y}) = {float(a[x, y])!r} "
+                    f"but ({y}, {x}) = {float(a[y, x])!r}"
                 )
         if np.any(a < 0):
             if repair:
@@ -71,7 +71,7 @@ class VarianceMatrix:
                 fixed.append("clamped negatives to zero")
             else:
                 x, y = np.argwhere(a < 0)[0]
-                raise InputError(f"negative entry {a[x, y]!r} at ({x}, {y})")
+                raise InputError(f"negative entry {float(a[x, y])!r} at ({x}, {y})")
         if fixed:
             warnings.warn(f"repaired input matrix: {', '.join(fixed)}", stacklevel=2)
         a.setflags(write=False)
@@ -161,7 +161,7 @@ def gram_linearize(rect) -> VarianceMatrix:
         raise InputError("matrix contains NaN or infinite entries")
     if np.any(b < 0):
         x, y = np.argwhere(b < 0)[0]
-        raise InputError(f"negative entry {b[x, y]!r} at ({x}, {y})")
+        raise InputError(f"negative entry {float(b[x, y])!r} at ({x}, {y})")
     m, n = b.shape
     out = np.zeros((m + n, m + n))
     out[:m, m:] = b
@@ -264,8 +264,10 @@ def resolve_profile(name: str, n: int | None = None, seed: int | None = None,
     Recognized generator names: ``wigner`` and ``expprofile`` (both need
     ``n``), ``random`` (needs ``n`` and ``seed``), and ``gram:<path>``
     for the symmetric linearization of a rectangular matrix file.  Any
-    other string is treated as the path of a square matrix file.
-    Returns the profile plus a small descriptor suitable for logging.
+    other string is treated as the path of a square matrix file, which
+    ``repair`` fixes up (see VarianceMatrix); a ``gram:`` source with
+    ``repair`` raises InputError.  Returns the profile plus a small
+    descriptor suitable for logging.
     """
     def need_n():
         if n is None:
@@ -281,6 +283,9 @@ def resolve_profile(name: str, n: int | None = None, seed: int | None = None,
             raise InputError("profile 'random' requires a seed")
         return random_profile(need_n(), seed), {"profile": name, "n": n, "seed": seed}
     if name.startswith("gram:"):
+        if repair:
+            raise InputError("repair applies only to square matrix files, "
+                             f"not to {name!r}")
         path = name[len("gram:"):]
         g = gram_linearize(load_dense(path))
         return g, {"profile": "gram", "path": path, "n": g.n}

@@ -26,8 +26,13 @@ than from the row-sum bound: max_x (1/u_x + (S u)_x) at any computed
 u > 0 bounds the edge from above (Ajanki, Erdos and Kruger, "Quadratic
 vector equations on the complex upper half-plane", cited as [AEK]),
 and each m_x is the Stieltjes transform of a measure with no mass above
-the edge, so the points skipped above the ceiling's reach provably lie
-below the threshold.
+the edge, so the smoothed density falls as tau rises above the edge.
+The scan therefore starts at the lowest grid point at or above the
+ceiling: if the density there is at most the threshold, so is the
+density at every point above it, and skipping them is exact.  If it
+exceeds the threshold, the points above it, up to the reach of the
+ceiling's Cauchy bound, are scanned too, and that point is the answer
+when none of them exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -298,28 +303,58 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     return out
 
 
+def _first_above(entries, taus_desc, eta, threshold):
+    """First point of the descending grid ``taus_desc`` whose smoothed
+    density exceeds the threshold, or None.
+
+    The points are scanned in blocks of _BLOCK, each converged to an
+    update norm of _EDGE_TOL and warm-started from the lowest point of
+    the block above; the scan stops at the first block holding such a
+    point.
+    """
+    warm = None
+    for start in range(0, len(taus_desc), _BLOCK):
+        tb = taus_desc[start:start + _BLOCK]
+        zb = tb + 1j * eta
+        if warm is None:
+            m_block = np.repeat((-1.0 / zb)[:, None], entries.shape[0], axis=1)
+        else:
+            m_block = np.repeat(warm[None, :], len(tb), axis=0)
+        dens = _scan_block(entries, zb, m_block, _EDGE_TOL)
+        exceed = np.flatnonzero(dens > threshold)
+        if len(exceed):
+            return float(tb[exceed[0]])
+        warm = m_block[-1]
+    return None
+
+
 def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
                      grid_step: float = 1e-3,
                      threshold: float = 1e-2) -> SupportEstimate:
     """Locate the largest grid point where the smoothed density exceeds
     the threshold.
 
-    The grid runs from 0 to one past the row-sum bound B = 2 sqrt(|S|)
-    and is scanned from the top down in blocks, each converged to an
-    update norm of _EDGE_TOL and warm-started from the lowest point of
-    the block above.  Every m_x is the Stieltjes transform of a
-    probability measure on [-E, E], where E is the top of the spectrum,
-    so above E the density is at most eta / (pi ((tau - E)^2 + eta^2)).
-    E is replaced by the certified ceiling of _edge_ceiling, a value of
-    max_x (1/u_x + (S u)_x) at a computed u > 0, which is at least E
-    and at most B.  Points above the reach of that bound cannot exceed
-    the threshold, so skipping them is exact: the scan starts at the
-    highest grid point where the bound exceeds the threshold, and it
-    returns at the first block holding a point above the threshold.  A
-    block left unconverged raises ConvergenceError naming its first
-    such point.  The zero profile has no spectrum to detect (its density is
-    a spike at the origin that the smoothing would smear past the
-    threshold), so it short-circuits to a not-found result.
+    The grid runs from 0 to one past the row-sum bound B = 2 sqrt(|S|).
+    Every m_x is the Stieltjes transform of a probability measure on
+    [-E, E], where E is the top of the spectrum, so each
+    Im m_x(tau + i eta) = int eta / ((tau - l)^2 + eta^2) dmu_x(l)
+    falls as tau rises above E, and there the density is at most
+    eta / (pi ((tau - E)^2 + eta^2)).  E is replaced by the certified
+    ceiling C of _edge_ceiling, a value of max_x (1/u_x + (S u)_x) at a
+    computed u > 0, which is at least E and at most B.  Points above the
+    reach of that bound cannot exceed the threshold.
+
+    The scan starts at g0, the lowest grid point at or above C (or the
+    highest below the reach, if that is lower), and runs top down (see
+    _first_above).  If the density at g0 is at most the threshold, no
+    point above g0 exceeds it either, since g0 >= C >= E, so the scan's
+    answer is final.  Otherwise the points above g0, up to the highest
+    one below the reach, are scanned top down the same way, and g0 is
+    the answer if none of them exceeds the threshold.  A block left
+    unconverged raises ConvergenceError naming its first such point.
+    The zero profile has no spectrum to detect (its density is a spike
+    at the origin that the smoothing would smear past the threshold), so
+    it short-circuits to a not-found result.
     """
     _check_positive(eta=eta, grid_step=grid_step, threshold=threshold)
     norm = inf_norm(s)
@@ -331,22 +366,18 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     edge = _edge_ceiling(s.entries, bound)
     reach = edge + math.sqrt(max(eta / (math.pi * threshold) - eta * eta, 0.0))
     top = min(n_pts - 1, int(math.floor(reach / grid_step)))
-    taus_desc = np.arange(top, -1, -1, dtype=float) * grid_step
-    warm = None
-    for start in range(0, len(taus_desc), _BLOCK):
-        tb = taus_desc[start:start + _BLOCK]
-        zb = tb + 1j * eta
-        if warm is None:
-            m_block = np.repeat((-1.0 / zb)[:, None], s.n, axis=1)
-        else:
-            m_block = np.repeat(warm[None, :], len(tb), axis=0)
-        dens = _scan_block(s.entries, zb, m_block, _EDGE_TOL)
-        exceed = np.flatnonzero(dens > threshold)
-        if len(exceed):
-            return SupportEstimate(float(tb[exceed[0]]), True, eta,
-                                   grid_step, threshold, grid_top)
-        warm = m_block[-1]
-    return SupportEstimate(0.0, False, eta, grid_step, threshold, grid_top)
+    g0 = min(top, math.ceil(edge / grid_step))
+    taus = np.arange(top + 1, dtype=float) * grid_step
+    hit = _first_above(s.entries, taus[g0::-1], eta, threshold)
+    if hit == taus[g0]:
+        # the density exceeds the threshold at g0, so nothing rules out
+        # the points above it
+        above = _first_above(s.entries, taus[:g0:-1], eta, threshold)
+        if above is not None:
+            hit = above
+    if hit is None:
+        return SupportEstimate(0.0, False, eta, grid_step, threshold, grid_top)
+    return SupportEstimate(hit, True, eta, grid_step, threshold, grid_top)
 
 
 def moment_recursion(s: VarianceMatrix, kmax: int) -> MomentTable:

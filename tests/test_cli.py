@@ -61,6 +61,34 @@ def test_bound_rejects_asymmetric_matrix(tmp_path, capsys):
     assert "(0, 1)" in err
 
 
+@pytest.mark.parametrize("rows,source,message", [
+    ([[0.0, -0.5], [-0.5, 0.0]], "{f}", "negative entry -0.5 at (0, 1)"),
+    ([[1.0, -0.5, 0.0]], "gram:{f}", "negative entry -0.5 at (0, 1)"),
+    ([[0.0, 1.0], [2.0, 0.0]], "{f}",
+     "matrix is not symmetric: entry (0, 1) = 1.0 but (1, 0) = 2.0"),
+], ids=["negative", "gram-negative", "asymmetric"])
+def test_bound_input_errors_print_plain_floats(tmp_path, capsys, rows, source,
+                                               message):
+    f = tmp_path / "m.txt"
+    write_plain(f, rows)
+    code, payload, err = invoke(capsys, "bound", "--profile", source.format(f=f))
+    assert code == 2
+    assert payload is None
+    assert err == f"error: {message}\n"
+
+
+def test_bound_rejects_repair_of_a_gram_source(tmp_path, capsys):
+    # the gram linearization does not repair its file, so a manifest
+    # recording "repair": true would misdescribe the run
+    f = tmp_path / "rect.txt"
+    write_plain(f, [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
+    code, payload, err = invoke(capsys, "bound", "--profile", f"gram:{f}",
+                                "--repair")
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error: repair applies only to square matrix files")
+
+
 def test_bound_deep_j_on_star_profile_file(tmp_path, capsys):
     # z_j underflows before j = 250 on this profile
     f = tmp_path / "star.txt"

@@ -389,11 +389,15 @@ SCAN_IDS = ["wigner50", "exp100"] + [f"random60-{k}" for k in range(5)] + [
     "gram20x60", "block10+50"]
 
 
-@pytest.mark.parametrize("grid_step", [1e-3, 1e-2])
+# threshold 1e-3 puts the density at the scan's start above the threshold
+# on most profiles, so the scan must also search the points above it
+@pytest.mark.parametrize("grid_step,threshold", [
+    (1e-3, 1e-2), (1e-2, 1e-2), (1e-3, 1e-3)],
+    ids=["0.001", "0.01", "0.001-threshold0.001"])
 @pytest.mark.parametrize("s", SCAN_PROFILES, ids=SCAN_IDS)
-def test_support_estimate_equals_plain_iteration_scan(s, grid_step):
-    assert estimate_support(s, grid_step=grid_step) == estimate_support_loop(
-        s, grid_step=grid_step)
+def test_support_estimate_equals_plain_iteration_scan(s, grid_step, threshold):
+    assert estimate_support(s, grid_step=grid_step, threshold=threshold) == (
+        estimate_support_loop(s, grid_step=grid_step, threshold=threshold))
 
 
 @pytest.mark.parametrize("s", SCAN_PROFILES[:3], ids=SCAN_IDS[:3])
@@ -421,25 +425,42 @@ def test_support_scan_skips_only_points_below_the_threshold_above_the_ceiling(s)
     assert density(s, first_skipped, eta=eta) < threshold
 
 
-def test_support_scan_starts_at_the_ceiling_reach(monkeypatch):
-    # work guard: no point is scanned above the reach of the ceiling,
-    # which on exp200 lies 0.6 below the reach of B = 4.31
-    s = exp_profile(200)
-    eta, step, threshold = 1e-3, 1e-3, 1e-2
+def scan_start(s, step=1e-3):
+    """Highest point the scan converges when the density there is at
+    most the threshold: the lowest grid point at or above the ceiling."""
+    return math.ceil(ceiling(s) / step) * step
+
+
+@pytest.mark.parametrize("s", [exp_profile(200), wigner_profile(50)],
+                         ids=["exp200", "wigner50"])
+def test_support_scan_starts_at_the_ceiling(monkeypatch, s):
+    # work guard: the density at the first grid point above the ceiling
+    # is below the threshold, so nothing above it is scanned, and the
+    # edge lies in the first block below it
     scanned = []
     scan_block = qve._scan_block
 
     def recording(entries, zb, m, tol):
-        scanned.append(zb.real.max())
+        scanned.append(zb.real.copy())
         return scan_block(entries, zb, m, tol)
 
     monkeypatch.setattr(qve, "_scan_block", recording)
     est = estimate_support(s)
-    margin = math.sqrt(eta / (math.pi * threshold) - eta**2)
-    assert max(scanned) <= ceiling(s) + margin + step
-    # exp200's edge lies below exp500's exact edge 3.6815 (its ceiling is 3.679)
-    assert max(scanned) <= 3.6815 * (1 + _CEILING_WIDTH) + margin + step
+    assert len(scanned) == 1
+    assert scanned[0].max() == scan_start(s)
     assert est == estimate_support_loop(s)
+
+
+@pytest.mark.parametrize("s", SCAN_PROFILES, ids=SCAN_IDS)
+def test_density_falls_from_the_ceiling_to_its_reach(s):
+    # the premise of the scan's start: above the ceiling C >= E the
+    # density is nonincreasing, so no grid point above the first one at
+    # or above C exceeds the threshold unless that one does
+    eta, step, threshold = 1e-3, 1e-3, 1e-2
+    reach = ceiling(s) + math.sqrt(eta / (math.pi * threshold) - eta**2)
+    taus = np.arange(round(scan_start(s) / step), math.floor(reach / step) + 1) * step
+    assert len(taus) > 100
+    assert (np.diff(density_scan(s, taus, eta=eta)) <= 0).all()
 
 
 # ------------------------------------------------------------ edge ceiling
