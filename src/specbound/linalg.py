@@ -265,10 +265,15 @@ def resolve_profile(name: str, n: int | None = None, seed: int | None = None,
     ``n``), ``random`` (needs ``n`` and ``seed``), and ``gram:<path>``
     for the symmetric linearization of a rectangular matrix file.  Any
     other string is treated as the path of a square matrix file, which
-    ``repair`` fixes up (see VarianceMatrix); a ``gram:`` source with
-    ``repair`` raises InputError.  Returns the profile plus a small
+    ``repair`` fixes up (see VarianceMatrix); ``repair`` with any other
+    source raises InputError.  Returns the profile plus a small
     descriptor suitable for logging.
     """
+    if repair and (name in ("wigner", "expprofile", "random")
+                   or name.startswith("gram:")):
+        raise InputError("repair applies only to square matrix files, "
+                         f"not to {name!r}")
+
     def need_n():
         if n is None:
             raise InputError(f"profile {name!r} requires a size n")
@@ -283,9 +288,6 @@ def resolve_profile(name: str, n: int | None = None, seed: int | None = None,
             raise InputError("profile 'random' requires a seed")
         return random_profile(need_n(), seed), {"profile": name, "n": n, "seed": seed}
     if name.startswith("gram:"):
-        if repair:
-            raise InputError("repair applies only to square matrix files, "
-                             f"not to {name!r}")
         path = name[len("gram:"):]
         g = gram_linearize(load_dense(path))
         return g, {"profile": "gram", "path": path, "n": g.n}

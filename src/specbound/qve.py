@@ -16,10 +16,13 @@ iteration of m -> -1/(z + S m) on a block of shifted points, iterated
 as matrix-matrix products.  Plain iteration contracts at a rate only
 O(Im z) away from one near the spectrum; the short per-point history
 removes that slow contraction with the same matrix products, so no
-Newton rescue is needed.  The density and support scans converge every
-point of a block, none is abandoned early, and a point still
-unconverged at the shared sweep budget raises ConvergenceError from
-one place, the block helper both scans call.
+Newton rescue is needed.  The kernel has one caller, _solve_block,
+which solve_qve calls on a single point and density_scan on each block
+of points: it starts every point at m = -1/z, converges every point of
+the block (none is abandoned early), and is the one place that raises
+ConvergenceError.  The support scan reads its densities from
+density_scan, so both scans converge to the one tolerance _TOL within
+the one budget _MAX_SWEEPS.
 
 The support scan starts from a certified ceiling on the edge rather
 than from the row-sum bound: max_x (1/u_x + (S u)_x) at any computed
@@ -50,11 +53,10 @@ from .linalg import VarianceMatrix, inf_norm
 # 2 (_DEPTH + 1) _BLOCK n complex numbers on top of the profile.
 _BLOCK = 32
 _DEPTH = 3
-# sweep budget of every block the scans iterate, and the update-norm
-# tolerances of density_scan and of the support scan
+# sweep budget and update-norm tolerance of every block the scans
+# iterate (density_scan, and estimate_support through it)
 _MAX_SWEEPS = 300_000
 _TOL = 1e-9
-_EDGE_TOL = 1e-8
 # relative bracket width of the edge ceiling's bisection, and the steps
 # of the monotone real iteration run at each of its trial points
 _CEILING_WIDTH = 5e-3
@@ -101,13 +103,16 @@ class SupportEstimate:
 class MomentTable:
     """Row-resolved even-moment table c[x, k] for k = 0 .. kmax."""
 
-    kmax: int
     c: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
+
+    @property
+    def kmax(self) -> int:
+        return self.c.shape[1] - 1
 
 
 def _check_z(z) -> complex:
@@ -229,24 +234,26 @@ def _edge_ceiling(entries, hi):
     return best
 
 
-def _scan_block(entries, zb, m, tol):
-    """Converge the block ``m`` in place (see _anderson) within
-    _MAX_SWEEPS sweeps and return the smoothed density of each row.
+def _solve_block(entries, zb, tol, cap):
+    """Converge every point of ``zb`` from the cold start m = -1/z (see
+    _anderson) within ``cap`` sweeps and return ``(m, sweeps, res)``,
+    with one row of m per point.
 
     Raises ConvergenceError naming the first point whose update norm
     is not finite, or else the first point left unconverged.
     """
-    sweeps, res, active = _anderson(entries, zb, m, tol, _MAX_SWEEPS)
+    m = np.repeat((-1.0 / zb)[:, None], entries.shape[0], axis=1)
+    sweeps, res, active = _anderson(entries, zb, m, tol, cap)
     if active.any():
         bad = active & ~np.isfinite(res)
         j = np.flatnonzero(bad if bad.any() else active)[0]
         raise ConvergenceError(
-            f"QVE scan stalled at tau = {zb[j].real:.6g} "
+            f"QVE stalled at tau = {zb[j].real:.6g} "
             f"(eta = {zb[j].imag}, tol = {tol})",
             residual=float(res[j]),
             iterations=sweeps,
         )
-    return m.imag.mean(axis=1) / math.pi
+    return m, sweeps, res
 
 
 def solve_qve(s: VarianceMatrix, z, tol: float = 1e-9,
@@ -254,26 +261,17 @@ def solve_qve(s: VarianceMatrix, z, tol: float = 1e-9,
     """Solve -1/m_x = z + (S m)_x for the upper-half-plane vector m.
 
     Anderson-accelerated fixed-point iteration from m = -1/z, as a
-    block of one row (see _anderson); ``iterations`` counts its update
-    steps.  Raises ConvergenceError when max_iter update steps did not
-    reach the tolerance or an update was not finite, DomainError when z
-    is not finite or Im z <= 0, and InputError when tol is not positive
-    and finite.
+    block of one point (see _solve_block); ``iterations`` counts its
+    update steps.  Raises ConvergenceError when max_iter update steps
+    did not reach the tolerance or an update was not finite,
+    DomainError when z is not finite or Im z <= 0 or when tol is not
+    positive and finite, and InputError when max_iter is below 1.
     """
     z = _check_z(z)
-    if not 0.0 < tol < math.inf:
-        raise InputError(f"tol must be positive and finite, got {tol}")
+    _check_positive(tol=tol)
     if max_iter < 1:
         raise InputError(f"max_iter must be at least 1, got {max_iter}")
-    m = np.full((1, s.n), -1.0 / z)
-    it, res, active = _anderson(s.entries, np.array([z]), m, tol, max_iter)
-    if active[0]:
-        raise ConvergenceError(
-            f"no convergence at z = {z} after {it} iterations "
-            f"(residual {res[0]:.3e})",
-            residual=float(res[0]),
-            iterations=it,
-        )
+    m, it, res = _solve_block(s.entries, np.array([z]), tol, max_iter)
     # the defect of the returned vector is exactly its last update norm
     return SpectralProbe(z=z, m=m[0], iterations=it, residual=float(res[0]))
 
@@ -286,10 +284,11 @@ def density(s: VarianceMatrix, tau: float, eta: float) -> float:
 def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     """Smoothed density at every point of ``taus``, as one array.
 
-    Blocks of points are iterated together, each point from m = -1/z,
-    to an update norm of _TOL.  Raises DomainError when a tau is not
-    finite, and ConvergenceError naming the first point of a block that
-    is left unconverged.
+    Blocks of _BLOCK points are iterated together by _solve_block, each
+    point from m = -1/z, to an update norm of _TOL within _MAX_SWEEPS
+    sweeps.  Raises DomainError when a tau is not finite, and
+    ConvergenceError naming the first point of a block that is left
+    unconverged.
     """
     _check_positive(eta=eta)
     taus = np.asarray(taus, dtype=float).ravel()
@@ -298,33 +297,26 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     out = np.empty(len(taus))
     for start in range(0, len(taus), _BLOCK):
         zb = taus[start:start + _BLOCK] + 1j * eta
-        m_block = np.repeat((-1.0 / zb)[:, None], s.n, axis=1)
-        out[start:start + _BLOCK] = _scan_block(s.entries, zb, m_block, _TOL)
+        m = _solve_block(s.entries, zb, _TOL, _MAX_SWEEPS)[0]
+        out[start:start + _BLOCK] = m.imag.mean(axis=1) / math.pi
     return out
 
 
-def _first_above(entries, taus_desc, eta, threshold):
+def _first_above(s, taus_desc, eta, threshold):
     """First point of the descending grid ``taus_desc`` whose smoothed
     density exceeds the threshold, or None.
 
-    The points are scanned in blocks of _BLOCK, each converged to an
-    update norm of _EDGE_TOL and warm-started from the lowest point of
-    the block above; the scan stops at the first block holding such a
-    point.
+    The densities come from density_scan, one block of _BLOCK points at
+    a time, each point cold-started, and the scan stops at the first
+    block holding such a point.  Warm starts from the block above would
+    save sweeps only on blocks after the first, and a scan that starts
+    at the edge ceiling seldom reaches a second block.
     """
-    warm = None
     for start in range(0, len(taus_desc), _BLOCK):
         tb = taus_desc[start:start + _BLOCK]
-        zb = tb + 1j * eta
-        if warm is None:
-            m_block = np.repeat((-1.0 / zb)[:, None], entries.shape[0], axis=1)
-        else:
-            m_block = np.repeat(warm[None, :], len(tb), axis=0)
-        dens = _scan_block(entries, zb, m_block, _EDGE_TOL)
-        exceed = np.flatnonzero(dens > threshold)
+        exceed = np.flatnonzero(density_scan(s, tb, eta) > threshold)
         if len(exceed):
             return float(tb[exceed[0]])
-        warm = m_block[-1]
     return None
 
 
@@ -350,8 +342,9 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     point above g0 exceeds it either, since g0 >= C >= E, so the scan's
     answer is final.  Otherwise the points above g0, up to the highest
     one below the reach, are scanned top down the same way, and g0 is
-    the answer if none of them exceeds the threshold.  A block left
-    unconverged raises ConvergenceError naming its first such point.
+    the answer if none of them exceeds the threshold.  Every density
+    comes from density_scan, so a block left unconverged raises its
+    ConvergenceError naming the first such point.
     The zero profile has no spectrum to detect (its density is a spike
     at the origin that the smoothing would smear past the threshold), so
     it short-circuits to a not-found result.
@@ -368,11 +361,11 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     top = min(n_pts - 1, int(math.floor(reach / grid_step)))
     g0 = min(top, math.ceil(edge / grid_step))
     taus = np.arange(top + 1, dtype=float) * grid_step
-    hit = _first_above(s.entries, taus[g0::-1], eta, threshold)
+    hit = _first_above(s, taus[g0::-1], eta, threshold)
     if hit == taus[g0]:
         # the density exceeds the threshold at g0, so nothing rules out
         # the points above it
-        above = _first_above(s.entries, taus[:g0:-1], eta, threshold)
+        above = _first_above(s, taus[:g0:-1], eta, threshold)
         if above is not None:
             hit = above
     if hit is None:
@@ -409,7 +402,7 @@ def moment_recursion(s: VarianceMatrix, kmax: int) -> MomentTable:
                 f"moment overflow at k = {k}; rescale the profile and retry"
             )
         c[:, k] = acc
-    return MomentTable(kmax=kmax, c=c)
+    return MomentTable(c=c)
 
 
 def support_from_moments(table: MomentTable, kmax: int | None = None) -> float:

@@ -89,18 +89,14 @@ def stopped_walk_generating_function(ns: NormSequence, J: int, w: float) -> floa
     weight 1.  Defined for 0 <= w strictly below the denominator's root.
     """
     sub = _prefix(ns, J)
-    if not 0.0 <= w < 2.0:
-        raise DomainError(f"w must lie in [0, 2), got {w}")
-    wc = critical_w(sub)
-    if w >= wc:
-        raise DomainError(f"w={w} is at or beyond the pole at w={wc:.12g}")
+    # the denominator is the pole detector, and it rejects w outside
+    # [0, 2); critical_w only names the pole in the message
+    denom = root_function(w, sub)
+    if denom <= 0.0:
+        raise DomainError(f"w={w} is at or beyond the pole near "
+                          f"w={critical_w(sub):.12g}")
     x = w / 2.0
     series = 1.0 + float((x ** np.arange(1, J + 1)) @ sub.z)
     series += x ** (J + 1) / (1.0 - x)
-    denom = root_function(w, sub)
-    if denom <= 0.0:
-        # w_c is located to finite tolerance; the denominator itself is
-        # the authoritative pole detector
-        raise DomainError(f"w={w} is at or beyond the pole near w={wc:.12g}")
     return (1.0 - w) * series / denom
 

@@ -78,15 +78,18 @@ def test_bound_input_errors_print_plain_floats(tmp_path, capsys, rows, source,
 
 
 def test_bound_rejects_repair_of_a_gram_source(tmp_path, capsys):
-    # the gram linearization does not repair its file, so a manifest
-    # recording "repair": true would misdescribe the run
+    # only a square matrix file is repaired: the gram linearization does
+    # not repair its file and generated profiles need no repair, so a
+    # manifest recording "repair": true would misdescribe the run
     f = tmp_path / "rect.txt"
     write_plain(f, [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
-    code, payload, err = invoke(capsys, "bound", "--profile", f"gram:{f}",
-                                "--repair")
-    assert code == 2
-    assert payload is None
-    assert err.startswith("error: repair applies only to square matrix files")
+    for source in ([f"gram:{f}"], ["wigner", "--n", "4"],
+                   ["expprofile", "--n", "4"], ["random", "--n", "4"]):
+        code, payload, err = invoke(capsys, "bound", "--profile", *source,
+                                    "--j", "2", "--repair")
+        assert code == 2
+        assert payload is None
+        assert err.startswith("error: repair applies only to square matrix files")
 
 
 def test_bound_deep_j_on_star_profile_file(tmp_path, capsys):

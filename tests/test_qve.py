@@ -33,7 +33,7 @@ from specbound.qve import (
     solve_qve,
     support_from_moments,
 )
-from specbound.qve import _CEILING_WIDTH, _anderson, _edge_ceiling, _scan_block
+from specbound.qve import _CEILING_WIDTH, _anderson, _edge_ceiling, _solve_block
 from specbound.treeval import tree_val_vector
 
 # i (sqrt(2) - 1): Stieltjes transform of the semicircle law at z = 2i
@@ -175,10 +175,9 @@ def test_kernel_returns_at_once_on_a_non_finite_update():
 def test_scan_block_and_solver_raise_at_once_on_a_non_finite_update():
     s = exp_profile(20)
     zb = np.array([0.5 + 1e-3j, complex(math.nan, 1e-3)])
-    m = np.repeat((-1.0 / np.array([zb[0], 1j]))[:, None], s.n, axis=1)
     with np.errstate(invalid="ignore"):
         with pytest.raises(ConvergenceError, match="tau = nan ") as err:
-            _scan_block(s.entries, zb, m, 1e-9)
+            _solve_block(s.entries, zb, 1e-9, 1_000)
     assert err.value.iterations == 1
     # entries of 1e308 overflow S m in the first sweep
     huge = VarianceMatrix(np.full((2, 2), 1e308))
@@ -400,26 +399,18 @@ def test_support_estimate_equals_plain_iteration_scan(s, grid_step, threshold):
         estimate_support_loop(s, grid_step=grid_step, threshold=threshold))
 
 
-@pytest.mark.parametrize("s", SCAN_PROFILES[:3], ids=SCAN_IDS[:3])
-def test_support_scan_skips_only_points_below_the_threshold(s):
-    # the scan starts below B + sqrt(eta / (pi threshold) - eta^2), where
-    # B = 2 sqrt(|S|); the grid point just above must be below threshold
-    eta, step, threshold = 1e-3, 1e-3, 1e-2
-    est = estimate_support(s)
-    reach = 2 * math.sqrt(inf_norm(s)) + math.sqrt(eta / (math.pi * threshold) - eta**2)
-    first_skipped = (math.floor(reach / step) + 1) * step
-    assert first_skipped < est.grid_top
-    assert density(s, first_skipped, eta=eta) < threshold
-
-
+@pytest.mark.parametrize("bound", ["row-sum", "ceiling"])
 @pytest.mark.parametrize("s", SCAN_PROFILES, ids=SCAN_IDS)
-def test_support_scan_skips_only_points_below_the_threshold_above_the_ceiling(s):
-    # the scan starts below C + sqrt(eta / (pi threshold) - eta^2), where
-    # C is the certified edge ceiling; the grid point just above must be
-    # below threshold
+def test_support_scan_skips_only_points_below_the_threshold(s, bound):
+    # the Cauchy bound eta / (pi ((tau - E)^2 + eta^2)) on the density
+    # above the edge E holds with E replaced by any bound on it, the
+    # row-sum bound B = 2 sqrt(|S|) or the certified ceiling C, so it
+    # falls below the threshold past E + sqrt(eta / (pi threshold) - eta^2);
+    # the first grid point past that reach must be below threshold
     eta, step, threshold = 1e-3, 1e-3, 1e-2
     est = estimate_support(s)
-    reach = ceiling(s) + math.sqrt(eta / (math.pi * threshold) - eta**2)
+    edge = 2 * math.sqrt(inf_norm(s)) if bound == "row-sum" else ceiling(s)
+    reach = edge + math.sqrt(eta / (math.pi * threshold) - eta**2)
     first_skipped = (math.floor(reach / step) + 1) * step
     assert first_skipped < est.grid_top
     assert density(s, first_skipped, eta=eta) < threshold
@@ -438,13 +429,12 @@ def test_support_scan_starts_at_the_ceiling(monkeypatch, s):
     # is below the threshold, so nothing above it is scanned, and the
     # edge lies in the first block below it
     scanned = []
-    scan_block = qve._scan_block
 
-    def recording(entries, zb, m, tol):
-        scanned.append(zb.real.copy())
-        return scan_block(entries, zb, m, tol)
+    def recording(s, taus, eta):
+        scanned.append(np.array(taus))
+        return density_scan(s, taus, eta)
 
-    monkeypatch.setattr(qve, "_scan_block", recording)
+    monkeypatch.setattr(qve, "density_scan", recording)
     est = estimate_support(s)
     assert len(scanned) == 1
     assert scanned[0].max() == scan_start(s)
@@ -649,3 +639,8 @@ def test_support_proxy_defaults_to_table_depth():
         support_from_moments(table, kmax=9)
     with pytest.raises(InputError):
         support_from_moments(table, kmax=0)
+    # the depth is read off the table itself
+    table = MomentTable(c=np.ones((3, 3)))
+    assert table.kmax == 2
+    with pytest.raises(InputError, match="up to k = 2"):
+        support_from_moments(table, kmax=5)
