@@ -37,25 +37,50 @@ __all__ = [
 ]
 
 
+# Side of the square tiles that the symmetry check and random_profile's
+# in-place a + a.T walk one tile pair at a time, so that neither needs a
+# second n-by-n array and the transposed reads stay in cache.
+_TILE = 128
+
+
+def _tiles(n: int):
+    """Slice pairs (rows, cols) of the tiles on and above the diagonal of
+    an n-by-n array; (cols, rows) is the mirror tile of each."""
+    starts = range(0, n, _TILE)
+    for i, lo in enumerate(starts):
+        for hi in starts[i:]:
+            yield slice(lo, lo + _TILE), slice(hi, hi + _TILE)
+
+
 class VarianceMatrix:
     """Validated symmetric nonnegative matrix.
 
     The wrapped array is read-only so that downstream results cannot be
-    invalidated by accidental mutation.  With ``repair=True`` an almost
-    valid input is fixed up (symmetrized, negatives clamped to zero) and
-    a warning is emitted instead of an error.
+    invalidated by accidental mutation.  An input that is an exact
+    ``np.ndarray`` of float64, C-contiguous, owning its memory and
+    already read-only is adopted as is, without a copy; the caller hands
+    it over and must not make it writeable again.  Every other input
+    (a list, a writeable array, a view, another dtype or memory order,
+    an ndarray subclass) is copied into a new float64 array.  Either
+    way every check runs.  With ``repair=True`` an almost valid input is
+    fixed up (symmetrized, negatives clamped to zero) and a warning is
+    emitted instead of an error.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries, repair: bool = False):
-        a = np.array(entries, dtype=float)
+        a = entries
+        if not (type(a) is np.ndarray and a.dtype == np.float64
+                and a.flags.c_contiguous and a.base is None
+                and not a.flags.writeable):
+            a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise InputError(f"expected a nonempty square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InputError("matrix contains NaN or infinite entries")
         fixed = []
-        if not np.array_equal(a, a.T):
+        if not all(np.array_equal(a[r, c], a[c, r].T) for r, c in _tiles(a.shape[0])):
             if repair:
                 a = (a + a.T) / 2
                 fixed.append("symmetrized")
@@ -152,9 +177,10 @@ def gram_linearize(rect) -> VarianceMatrix:
 
     Squared singular values of a sample matrix drawn from B appear as
     squared eigenvalues of the linearization, so a support bound for the
-    output profile bounds the squared largest singular value.
+    output profile bounds the squared largest singular value.  B is only
+    read; the profile is the one (M+N)-square array built here.
     """
-    b = np.array(rect, dtype=float)
+    b = np.asarray(rect, dtype=float)
     if b.ndim != 2 or b.size == 0:
         raise InputError(f"expected a nonempty 2-d array, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
@@ -166,6 +192,7 @@ def gram_linearize(rect) -> VarianceMatrix:
     out = np.zeros((m + n, m + n))
     out[:m, m:] = b
     out[m:, :m] = b.T
+    out.setflags(write=False)
     return VarianceMatrix(out)
 
 
@@ -173,7 +200,9 @@ def wigner_profile(n: int) -> VarianceMatrix:
     """Constant profile with entries 1/n; every z_j equals 1."""
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    return VarianceMatrix(np.full((n, n), 1.0 / n))
+    a = np.full((n, n), 1.0 / n)
+    a.setflags(write=False)
+    return VarianceMatrix(a)
 
 
 def exp_profile(n: int) -> VarianceMatrix:
@@ -181,19 +210,32 @@ def exp_profile(n: int) -> VarianceMatrix:
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
     v = np.exp(np.arange(n) / n)
-    return VarianceMatrix(np.outer(v, v) / n)
+    a = np.outer(v, v)
+    a /= n
+    a.setflags(write=False)
+    return VarianceMatrix(a)
 
 
 def random_profile(n: int, seed: int) -> VarianceMatrix:
     """Seeded random symmetric profile with entries of mean 1/(2n).
 
-    The 1/n scale keeps the norm of order one as n grows.
+    The 1/n scale keeps the norm of order one as n grows.  The entries
+    are those of ``(a + a.T) / 2 * (1.0 / n)`` for the draw ``a``, bit
+    for bit, computed in the draw's own array.
     """
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
-    rng = np.random.default_rng(seed)
-    a = rng.random((n, n))
-    return VarianceMatrix((a + a.T) / 2 * (1.0 / n))
+    a = np.random.default_rng(seed).random((n, n))
+    # a + a.T tile pair by tile pair; float addition commutes, so a tile
+    # and its mirror receive the same sums
+    for r, c in _tiles(n):
+        t = a[r, c] + a[c, r].T
+        a[r, c] = t
+        a[c, r] = t.T
+    a /= 2
+    a *= 1.0 / n
+    a.setflags(write=False)
+    return VarianceMatrix(a)
 
 
 _CSV_HEADER = re.compile(r"^n\s*=\s*(\d+)$")

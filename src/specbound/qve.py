@@ -377,32 +377,38 @@ def moment_recursion(s: VarianceMatrix, kmax: int) -> MomentTable:
     """Row-resolved even moments via the tree recursion.
 
         c[x, 0] = 1,
-        c[x, k] = sum_y S_xy sum_{n=0}^{k-1} c[x, k-1-n] c[y, n].
+        c[x, k] = sum_y S_xy sum_{m=0}^{k-1} c[x, k-1-m] c[y, m].
 
-    Each column's product S c[:, m] is computed once and cached, so the
-    cost is O(kmax n^2 + kmax^2 n).  Raises OverflowGuardError as soon
-    as an entry leaves double-precision range; rescaling S by 1/a
-    rescales c[x, k] by a^-k, so large profiles can be probed after
-    scaling.
+    Order k is kept as one row c_k (the column c[:, k] of the returned
+    table), next to the cached products S c_m, and is computed in one
+    step: one matrix-vector product S c_{k-1}, one elementwise product
+    of the k rows c_{k-1}, ..., c_0 with S c_0, ..., S c_{k-1}, and one
+    reduction of those k rows.  The reduction adds the terms in the
+    order m = 0 .. k-1, as the formula's loop does, so the table equals
+    the loop's bit for bit.  The cost is kmax matrix-vector products and
+    kmax (kmax + 1) / 2 vector products, O(kmax n^2 + kmax^2 n), in
+    kmax steps.  Raises OverflowGuardError as soon as an entry
+    leaves double-precision range; rescaling S by 1/a rescales c[x, k]
+    by a^-k, so large profiles can be probed after scaling.
     """
     if not isinstance(kmax, int) or kmax < 0:
         raise InputError(f"kmax must be a nonnegative integer, got {kmax!r}")
-    entries = s.entries
-    c = np.zeros((s.n, kmax + 1))
-    sc = np.zeros((s.n, kmax))  # sc[:, m] = S @ c[:, m]
-    c[:, 0] = 1.0
+    entries, n = s.entries, s.n
+    # One spare zero column: NumPy reduces over the outer axis row after
+    # row only while rows are at least two wide; on one-wide rows it
+    # switches to pairwise summation, which changes the last bits.
+    c = np.zeros((kmax + 1, n + 1))
+    sc = np.zeros((kmax, n + 1))  # sc[m, :n] = S @ c[m, :n]
+    c[0, :n] = 1.0
     for k in range(1, kmax + 1):
-        acc = np.zeros(s.n)
         with np.errstate(over="ignore", invalid="ignore"):
-            sc[:, k - 1] = entries @ c[:, k - 1]
-            for m in range(k):
-                acc += c[:, k - 1 - m] * sc[:, m]
-        if not np.all(np.isfinite(acc)):
+            sc[k - 1, :n] = entries @ c[k - 1, :n]
+            np.add.reduce(c[k - 1::-1] * sc[:k], axis=0, out=c[k])
+        if not np.all(np.isfinite(c[k])):
             raise OverflowGuardError(
                 f"moment overflow at k = {k}; rescale the profile and retry"
             )
-        c[:, k] = acc
-    return MomentTable(c=c)
+    return MomentTable(c=c[:, :n].T)
 
 
 def support_from_moments(table: MomentTable, kmax: int | None = None) -> float:

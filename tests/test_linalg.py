@@ -201,6 +201,73 @@ def test_entries_are_immutable():
         s.entries[0, 0] = 5.0
 
 
+def read_only(a):
+    a.setflags(write=False)
+    return a
+
+
+class NdarraySubclass(np.ndarray):
+    pass
+
+
+def test_owned_read_only_float64_input_is_adopted():
+    a = read_only(symmetric_nonneg(5, seed=1))
+    assert VarianceMatrix(a).entries is a
+
+
+@pytest.mark.parametrize("make", [
+    lambda a: a,
+    lambda a: read_only(a.view()),
+    lambda a: read_only((a * 100).astype(np.int64)),
+    lambda a: read_only(np.asfortranarray(a)),
+    lambda a: read_only(np.array(a.view(NdarraySubclass), subok=True)),
+], ids=["writeable", "read-only-view", "int", "fortran", "subclass"])
+def test_other_inputs_are_copied(make):
+    a = symmetric_nonneg(5, seed=1)
+    given = make(a)
+    s = VarianceMatrix(given)
+    assert s.entries is not given
+    assert type(s.entries) is np.ndarray
+    assert s.entries.dtype == np.float64
+    kept = np.array(given, dtype=float)
+    np.testing.assert_array_equal(s.entries, kept)
+    a[0, 0] = 99.0  # the source, or the owner of the view, changes
+    np.testing.assert_array_equal(s.entries, kept)
+
+
+@pytest.mark.parametrize("adopt", [False, True], ids=["writeable", "read-only"])
+def test_asymmetry_in_a_far_tile_names_the_first_entry(adopt):
+    a = symmetric_nonneg(257, seed=4)
+    # the tile walk meets (100, 200) first; the message names the first
+    # offending entry in row-major order, as a full comparison would
+    a[100, 200] += 0.25
+    a[5, 256] += 0.5
+    given = read_only(a.copy()) if adopt else a
+    with pytest.raises(InputError) as err:
+        VarianceMatrix(given)
+    assert str(err.value) == (
+        f"matrix is not symmetric: entry (5, 256) = {float(a[5, 256])!r} "
+        f"but (256, 5) = {float(a[256, 5])!r}"
+    )
+
+
+@pytest.mark.parametrize("adopt", [False, True], ids=["writeable", "read-only"])
+def test_repair_of_a_large_input_leaves_the_input_alone(adopt):
+    a = symmetric_nonneg(257, seed=4)
+    a[5, 256] += 0.5
+    a[200, 3] = a[3, 200] = -0.1
+    expected = np.clip((a + a.T) / 2, 0.0, None)
+    given = read_only(a.copy()) if adopt else a
+    kept = given.copy()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = VarianceMatrix(given, repair=True)
+    assert [str(w.message) for w in caught] == [
+        "repaired input matrix: symmetrized, clamped negatives to zero"]
+    np.testing.assert_array_equal(s.entries, expected)
+    np.testing.assert_array_equal(given, kept)
+
+
 # ------------------------------------------------------------- builders
 
 def test_wigner_profile_entries():
@@ -212,6 +279,48 @@ def test_exp_profile_zero_based_entries():
     s = exp_profile(10)
     assert s.entries[0, 0] == 1 / 10
     assert abs(s.entries[9, 9] - np.exp(18 / 10) / 10) < 1e-15
+
+
+def old_random_profile(n, seed):
+    a = np.random.default_rng(seed).random((n, n))
+    return (a + a.T) / 2 * (1.0 / n)
+
+
+def old_exp_profile(n):
+    v = np.exp(np.arange(n) / n)
+    return np.outer(v, v) / n
+
+
+def old_gram_linearize(b):
+    m, n = b.shape
+    out = np.zeros((m + n, m + n))
+    out[:m, m:] = b
+    out[m:, :m] = b.T
+    return out
+
+
+# both sides of the tile edge (128) of the in-place builds and the checks
+GENERATOR_SIZES = [1, 2, 127, 128, 129, 300]
+
+
+@pytest.mark.parametrize("n", GENERATOR_SIZES)
+@pytest.mark.parametrize("kind", ["wigner", "exp", "random", "gram"])
+def test_generators_match_their_one_line_formulas(kind, n):
+    """Each generator builds its array in place; the entries must equal
+    the plain formula's bit for bit, and the result must be read-only."""
+    if kind == "wigner":
+        s, ref = wigner_profile(n), np.full((n, n), 1.0 / n)
+    elif kind == "exp":
+        s, ref = exp_profile(n), old_exp_profile(n)
+    elif kind == "random":
+        s, ref = random_profile(n, seed=7), old_random_profile(n, 7)
+    else:
+        rect = np.random.default_rng(n).random((n, n + 1))
+        s, ref = gram_linearize(rect), old_gram_linearize(rect)
+    assert np.array_equal(s.entries, ref)
+    assert not s.entries.flags.writeable
+    with pytest.raises(ValueError):
+        s.entries[0, 0] = 1.0
 
 
 def test_random_profile_is_deterministic_and_valid():

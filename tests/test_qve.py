@@ -590,8 +590,11 @@ def moment_recursion_loop(s, kmax):
 
 @pytest.mark.parametrize("s", [
     random_profile(300, seed=7), exp_profile(200), wigner_profile(50),
-], ids=["random300", "exp200", "wigner50"])
+    random_profile(1, seed=7), random_profile(2, seed=7),
+    gram_linearize(np.random.default_rng(0).random((20, 40))),
+], ids=["random300", "exp200", "wigner50", "random1", "random2", "gram20x40"])
 def test_moment_recursion_equals_reference_loop(s):
+    # n = 1 pins the summation order: NumPy sums one-wide rows pairwise
     assert np.array_equal(moment_recursion(s, kmax=60).c,
                           moment_recursion_loop(s, kmax=60))
 
