@@ -18,8 +18,6 @@ from .errors import (  # noqa: E402
     MatrixFormatError,
     ZeroMatrixError,
     DomainError,
-    SizeGuardError,
-    InvalidVertexError,
     NumericError,
     ConvergenceError,
     ToleranceError,
@@ -43,31 +41,6 @@ from .bounds import (  # noqa: E402
     critical_w,
     root_function,
     support_bound,
-)
-from .dyck import (  # noqa: E402
-    DyckPath,
-    Forest,
-    PlaneTree,
-    RunStats,
-    catalan,
-    dyck_transition_prob,
-    enumerate_dyck,
-    enumerate_trees,
-    path_to_tree,
-    run_statistics,
-    run_z_weight,
-    split_vertex,
-    tree_to_path,
-)
-from .treeval import (  # noqa: E402
-    chopping_bound_check,
-    forest_val,
-    tree_val_vector,
-)
-from .walks import (  # noqa: E402
-    floor_walk_closed_form,
-    floor_walk_step_product,
-    stopped_walk_generating_function,
 )
 from .qve import (  # noqa: E402
     MomentTable,

@@ -3,8 +3,7 @@
 Subcommands tie the pipeline together: ``bound`` computes the row-sum
 support bound, ``qve`` locates the spectral edge from the smoothed
 density, ``mc`` samples random matrices and measures their largest
-eigenvalue, ``oracle`` runs the exhaustive combinatorial checks, and
-``report`` combines all of them into one comparison.
+eigenvalue, and ``report`` combines all three into one comparison.
 
 Machine-readable output is JSON on stdout (optionally mirrored to a
 file); the human summary goes to stderr so pipelines stay clean. This
@@ -30,7 +29,6 @@ import numpy as np
 
 from . import __version__
 from .bounds import support_bound
-from .dyck import catalan, enumerate_trees
 from .errors import InputError, NumericError
 from .linalg import resolve_profile
 from .montecarlo import ENSEMBLES, McConfig, mc_experiment
@@ -40,7 +38,6 @@ from .qve import (
     moment_recursion,
     support_from_moments,
 )
-from .treeval import chopping_bound_check, tree_val_vector
 
 
 def _source_flags(parser):
@@ -178,38 +175,6 @@ def cmd_mc(args):
     return 0
 
 
-def cmd_oracle(args):
-    started = time.perf_counter()
-    s, desc = _resolve_source(args)
-    chopping = chopping_bound_check(s, args.k)
-    table = moment_recursion(s, kmax=args.k)
-    max_gap = 0.0
-    for k in range(args.k + 1):
-        total = np.zeros(s.n)
-        for tree in enumerate_trees(k):
-            total += tree_val_vector(s, tree)
-        scale = max(float(np.abs(total).max()), 1e-300)
-        max_gap = max(max_gap, float(np.abs(table.c[:, k] - total).max()) / scale)
-    moment_match = {"kmax": args.k, "max_rel_gap": max_gap, "ok": max_gap <= 1e-8}
-    payload = {
-        "manifest": _manifest(args, desc, started),
-        "chopping": chopping,
-        "moment_match": moment_match,
-        "moments_first_row": [float(v) for v in table.c[0]],
-        "catalan": [catalan(j) for j in range(args.k + 1)],
-    }
-    ok = not chopping["violations"] and moment_match["ok"]
-    _emit(args, payload, [
-        f"profile: {desc}",
-        f"k = {args.k}: {chopping['n_trees']} trees, "
-        f"{len(chopping['violations'])} violations, "
-        f"max slack {chopping['max_slack']:.6f}",
-        f"moment vs tree-sum max relative gap {max_gap:.2e}",
-        "oracle suite " + ("passed" if ok else "FAILED"),
-    ])
-    return 0 if ok else 3
-
-
 def cmd_report(args):
     started = time.perf_counter()
     s, desc = _resolve_source(args)
@@ -282,13 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     _mc_flags(m)
     _output_flags(m)
     m.set_defaults(func=cmd_mc)
-
-    o = sub.add_parser("oracle", help="exhaustive combinatorial checks")
-    _source_flags(o)
-    o.add_argument("--k", type=int, default=5,
-                   help="edge count of the enumerated trees (default 5)")
-    _output_flags(o)
-    o.set_defaults(func=cmd_oracle, profile="random", n=6)
 
     r = sub.add_parser("report", help="combined comparison of all estimates")
     _source_flags(r)

@@ -1,7 +1,7 @@
 """Exception hierarchy.
 
-Two families matter to callers: input problems (bad matrices, out-of-range
-arguments, guarded sizes) and numeric failures (iterations that did not
+Two families matter to callers: input problems (bad matrices, bad files,
+out-of-range arguments) and numeric failures (iterations that did not
 converge, overflow). The CLI maps the first family to exit code 2 and the
 second to exit code 3.
 """
@@ -25,14 +25,6 @@ class ZeroMatrixError(InputError):
 
 class DomainError(InputError):
     """An argument lies outside the mathematical domain of the operation."""
-
-
-class SizeGuardError(InputError):
-    """A combinatorial size limit was exceeded."""
-
-
-class InvalidVertexError(InputError):
-    """A split was requested at a vertex where splitting is undefined."""
 
 
 class NumericError(SpecboundError):

@@ -225,6 +225,8 @@ def random_profile(n: int, seed: int) -> VarianceMatrix:
     """
     if n < 1:
         raise InputError(f"n must be positive, got {n}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     a = np.random.default_rng(seed).random((n, n))
     # a + a.T tile pair by tile pair; float addition commutes, so a tile
     # and its mirror receive the same sums

@@ -19,23 +19,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InputError, InvalidVertexError, SizeGuardError
+from specbound.errors import DomainError, InputError
 
-__all__ = [
-    "DyckPath",
-    "PlaneTree",
-    "Forest",
-    "RunStats",
-    "catalan",
-    "enumerate_dyck",
-    "enumerate_trees",
-    "tree_to_path",
-    "path_to_tree",
-    "run_statistics",
-    "run_z_weight",
-    "split_vertex",
-    "dyck_transition_prob",
-]
+
+class SizeGuardError(InputError):
+    """A combinatorial size limit was exceeded."""
+
+
+class InvalidVertexError(InputError):
+    """A split was requested at a vertex where splitting is undefined."""
+
 
 _ENUMERATION_LIMIT = 10
 

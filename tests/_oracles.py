@@ -1,8 +1,8 @@
 """Brute-force evaluators used only as test oracles.
 
-Each one computes a quantity of the runtime package the slow, literal
-way, so that tests can compare it with the fast form the package
-ships:
+Each one computes a quantity of the paper's proof the slow, literal
+way, so that tests can compare it with the fast form in ``_treeval``
+and ``_walks``:
 
 * ``naive_tree_val`` sums over every labeling of a tree, against the
   leaf-to-root contraction ``tree_val_vector``;
@@ -16,20 +16,11 @@ All are guarded to tiny sizes.
 
 import itertools
 
-from specbound.dyck import PlaneTree, run_statistics, run_z_weight
-from specbound.errors import (
-    DomainError,
-    InputError,
-    SizeGuardError,
-    ToleranceError,
-)
+from _dyck import PlaneTree, SizeGuardError, run_statistics, run_z_weight
+from _treeval import tree_val_vector
+from _walks import _prefix, floor_walk_closed_form, floor_walk_step_product
+from specbound.errors import DomainError, InputError, ToleranceError
 from specbound.linalg import NormSequence, VarianceMatrix
-from specbound.treeval import tree_val_vector
-from specbound.walks import (
-    _prefix,
-    floor_walk_closed_form,
-    floor_walk_step_product,
-)
 
 _SERIES_LIMIT = 20
 

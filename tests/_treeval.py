@@ -21,23 +21,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyck import (
+from _dyck import (
     Forest,
+    InvalidVertexError,
     PlaneTree,
+    SizeGuardError,
     enumerate_trees,
     run_statistics,
     run_z_weight,
     split_vertex,
     tree_to_path,
 )
-from .errors import InputError, InvalidVertexError, SizeGuardError
-from .linalg import VarianceMatrix, norm_sequence
-
-__all__ = [
-    "tree_val_vector",
-    "forest_val",
-    "chopping_bound_check",
-]
+from specbound.errors import InputError
+from specbound.linalg import VarianceMatrix, norm_sequence
 
 
 def _guard_contraction(s: VarianceMatrix, k: int):

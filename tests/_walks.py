@@ -24,15 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import critical_w, root_function
-from .errors import DomainError, InputError
-from .linalg import NormSequence
-
-__all__ = [
-    "floor_walk_step_product",
-    "floor_walk_closed_form",
-    "stopped_walk_generating_function",
-]
+from specbound.bounds import critical_w, root_function
+from specbound.errors import DomainError, InputError
+from specbound.linalg import NormSequence
 
 
 def _validated_steps(h: int, omega) -> tuple:

@@ -11,20 +11,20 @@ from fractions import Fraction
 
 import numpy as np
 
+from _dyck import dyck_transition_prob, enumerate_dyck, enumerate_trees
 from _oracles import pbot_probability, stopped_walk_series_exhaustive
-from conftest import ACCEPTANCE_LINES
-
-from specbound.bounds import critical_w, support_bound
-from specbound.dyck import dyck_transition_prob, enumerate_dyck, enumerate_trees
-from specbound.errors import DomainError
-from specbound.linalg import NormSequence, random_profile
-from specbound.qve import moment_recursion, support_from_moments
-from specbound.treeval import chopping_bound_check, tree_val_vector
-from specbound.walks import (
+from _treeval import chopping_bound_check, tree_val_vector
+from _walks import (
     floor_walk_closed_form,
     floor_walk_step_product,
     stopped_walk_generating_function,
 )
+from conftest import ACCEPTANCE_LINES
+
+from specbound.bounds import critical_w, support_bound
+from specbound.errors import DomainError
+from specbound.linalg import NormSequence, random_profile
+from specbound.qve import moment_recursion, support_from_moments
 
 SMALL_PROFILES = [(4, 0), (6, 1), (8, 2), (6, 3), (4, 4)]
 

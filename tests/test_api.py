@@ -1,5 +1,6 @@
 """The public surface: what ``specbound`` exports and what it no longer ships."""
 
+import argparse
 import importlib
 import inspect
 import pkgutil
@@ -8,16 +9,22 @@ from pathlib import Path
 
 import pytest
 
+import _dyck
+import _oracles
+import _treeval
+import _walks
 import specbound
+from specbound.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
-LIBRARY_MODULES = ["errors", "linalg", "bounds", "dyck", "treeval", "walks",
-                   "qve", "montecarlo"]
+LIBRARY_MODULES = ["errors", "linalg", "bounds", "qve", "montecarlo"]
 
-# brute-force evaluators that live in tests/_oracles.py
-TEST_ORACLES = ["naive_tree_val", "tree_val", "pbot_probability",
-                "stopped_walk_series_exhaustive"]
+# every name defined by the test-only helpers: the paper's proof machinery
+# and the brute-force evaluators that check it
+TEST_ONLY_NAMES = sorted(
+    n for m in (_dyck, _treeval, _walks, _oracles) for n, obj in vars(m).items()
+    if not n.startswith("_") and getattr(obj, "__module__", None) == m.__name__)
 
 
 @pytest.mark.parametrize("name", LIBRARY_MODULES)
@@ -35,6 +42,15 @@ def test_module_exports_match_the_package(name):
         assert top[n] is getattr(mod, n)
 
 
+def test_package_ships_the_runtime_modules_and_four_subcommands():
+    shipped = {m.name for m in pkgutil.iter_modules(specbound.__path__)}
+    assert shipped == {"bounds", "cli", "errors", "linalg", "montecarlo", "qve"}
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"bound", "qve", "mc", "report"}
+
+
 def test_readme_library_import_resolves():
     text = README.read_text()
     section = text[text.index("## Library"):]
@@ -48,5 +64,5 @@ def test_readme_library_import_resolves():
     f"specbound.{m.name}" for m in pkgutil.iter_modules(specbound.__path__))])
 def test_test_oracles_are_not_shipped(name):
     mod = importlib.import_module(name)
-    for oracle in TEST_ORACLES:
+    for oracle in TEST_ONLY_NAMES:
         assert not hasattr(mod, oracle), f"{name}.{oracle}"

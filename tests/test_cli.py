@@ -121,6 +121,14 @@ def test_bound_missing_file(capsys):
     assert "error" in err.lower()
 
 
+def test_bound_negative_profile_seed_is_an_input_error(capsys):
+    code, payload, err = invoke(capsys, "bound", "--profile", "random",
+                                "--n", "3", "--profile-seed", "-1")
+    assert code == 2
+    assert payload is None
+    assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+
 def test_bound_requires_a_source(capsys):
     code, _, err = invoke(capsys, "bound")
     assert code == 2
@@ -226,32 +234,6 @@ def test_mc_zero_trials_is_an_input_error(capsys):
                           "--trials", "0")
     assert code == 2
     assert "trials" in err
-
-
-# ------------------------------------------------------------------ oracle
-
-def test_oracle_default_suite_passes(capsys):
-    code, payload, err = invoke(capsys, "oracle")
-    assert code == 0
-    assert payload["chopping"]["k"] == 5
-    assert payload["chopping"]["violations"] == []
-    assert payload["chopping"]["n_trees"] == 42
-    assert payload["moment_match"]["ok"]
-    assert "passed" in err
-
-
-def test_oracle_size_guard(capsys):
-    code, _, err = invoke(capsys, "oracle", "--k", "11")
-    assert code == 2
-    assert "k" in err
-
-
-def test_oracle_constant_profile_moments_are_catalan(capsys):
-    code, payload, _ = invoke(capsys, "oracle", "--profile", "wigner",
-                              "--n", "6", "--k", "6")
-    assert code == 0
-    assert payload["catalan"] == [1, 1, 2, 5, 14, 42, 132]
-    assert payload["moments_first_row"] == pytest.approx(payload["catalan"])
 
 
 # ------------------------------------------------------------------ report
@@ -362,7 +344,6 @@ def test_manifest_parameters_reconstruct_the_run(tmp_path, capsys):
          "--csv", str(csv_path), "--csv-step", "0.1"],
         ["mc", "--profile", "expprofile", "--n", "20", "--trials", "3",
          "--seed", "0", "--ensemble", "complex-hermitian"],
-        ["oracle", "--k", "4"],
         ["report", "--profile", f"gram:{rect}", "--j", "12", "--kmax", "20",
          "--threshold", "0.02", "--trials", "2"],
     ]

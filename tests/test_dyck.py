@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specbound.dyck import (
+from _dyck import (
     DyckPath,
     Forest,
+    InvalidVertexError,
     PlaneTree,
+    SizeGuardError,
     catalan,
     dyck_transition_prob,
     enumerate_dyck,
@@ -18,7 +20,7 @@ from specbound.dyck import (
     split_vertex,
     tree_to_path,
 )
-from specbound.errors import DomainError, InputError, InvalidVertexError, SizeGuardError
+from specbound.errors import DomainError, InputError
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 

@@ -331,6 +331,20 @@ def test_random_profile_is_deterministic_and_valid():
     np.testing.assert_allclose(a.entries, a.entries.T)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.0, "7", None, [1, 2]],
+                         ids=["negative", "float", "str", "none", "list"])
+def test_random_profile_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        random_profile(3, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, np.int64(7), 2**70],
+                         ids=["zero", "np.int64", "2**70"])
+def test_random_profile_accepts_every_nonnegative_integer_seed(seed):
+    assert np.array_equal(random_profile(5, seed=seed).entries,
+                          old_random_profile(5, seed))
+
+
 # ------------------------------------------------------------- file I/O
 
 def test_load_plain_text(tmp_path):

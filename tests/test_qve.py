@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specbound.qve as qve
+from _dyck import enumerate_trees
+from _treeval import tree_val_vector
 from specbound.bounds import support_bound
-from specbound.dyck import enumerate_trees
 from specbound.errors import (
     ConvergenceError,
     DomainError,
@@ -34,7 +35,6 @@ from specbound.qve import (
     support_from_moments,
 )
 from specbound.qve import _CEILING_WIDTH, _anderson, _edge_ceiling, _solve_block
-from specbound.treeval import tree_val_vector
 
 # i (sqrt(2) - 1): Stieltjes transform of the semicircle law at z = 2i
 WIGNER_M_AT_2I = 0.4142135623730950488j

@@ -4,23 +4,21 @@ import json
 import numpy as np
 import pytest
 
-from _oracles import naive_tree_val, tree_val
-from specbound.dyck import (
+from _dyck import (
     Forest,
+    InvalidVertexError,
     PlaneTree,
+    SizeGuardError,
     enumerate_trees,
     run_statistics,
     run_z_weight,
     split_vertex,
     tree_to_path,
 )
-from specbound.errors import InputError, InvalidVertexError, SizeGuardError
+from _oracles import naive_tree_val, tree_val
+from _treeval import chopping_bound_check, forest_val, tree_val_vector
+from specbound.errors import InputError
 from specbound.linalg import VarianceMatrix, norm_sequence, wigner_profile
-from specbound.treeval import (
-    chopping_bound_check,
-    forest_val,
-    tree_val_vector,
-)
 
 
 def leaf():

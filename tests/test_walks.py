@@ -3,15 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
+from _dyck import SizeGuardError
 from _oracles import pbot_probability, stopped_walk_series_exhaustive
-from specbound.bounds import critical_w
-from specbound.errors import DomainError, InputError, SizeGuardError
-from specbound.linalg import NormSequence, exp_profile, norm_sequence
-from specbound.walks import (
+from _walks import (
     floor_walk_closed_form,
     floor_walk_step_product,
     stopped_walk_generating_function,
 )
+from specbound.bounds import critical_w
+from specbound.errors import DomainError, InputError
+from specbound.linalg import NormSequence, exp_profile, norm_sequence
 
 WC_HALF_DECAY = 1.033330823615332880248623
 
