@@ -44,13 +44,11 @@ from .bounds import (  # noqa: E402
 )
 from .qve import (  # noqa: E402
     MomentTable,
-    SpectralProbe,
     SupportEstimate,
     density,
     density_scan,
     estimate_support,
     moment_recursion,
-    solve_qve,
     support_from_moments,
 )
 from .montecarlo import (  # noqa: E402

@@ -5,8 +5,8 @@ support bound, ``qve`` locates the spectral edge from the smoothed
 density, ``mc`` samples random matrices and measures their largest
 eigenvalue, and ``report`` combines all three into one comparison.
 
-Machine-readable output is JSON on stdout (optionally mirrored to a
-file); the human summary goes to stderr so pipelines stay clean. This
+Machine-readable output is JSON on stdout; the human summary goes to
+stderr so pipelines stay clean, and ``> report.json`` keeps the JSON. This
 module alone lays out that JSON: a manifest, then the fields of the
 result dataclasses in declaration order, as ``dataclasses.asdict``
 gives them. CSV is emitted only for density scans. Exit codes: 0 on
@@ -80,11 +80,6 @@ def _mc_flags(parser):
                         help="sampled matrix ensemble (default real-symmetric)")
 
 
-def _output_flags(parser):
-    parser.add_argument("--json", metavar="PATH",
-                        help="also write the JSON report to this file")
-
-
 def _resolve_source(args):
     if not args.profile:
         raise InputError("a matrix source is required: --profile NAME|PATH")
@@ -92,9 +87,9 @@ def _resolve_source(args):
                            repair=args.repair)
 
 
-# parsed options the manifest leaves out: the dispatch entries, the output
-# mirror, and the three that the source descriptor already resolves
-_UNRECORDED = ("command", "func", "json", "profile", "n", "profile_seed")
+# parsed options the manifest leaves out: the dispatch entries and the
+# three that the source descriptor already resolves
+_UNRECORDED = ("command", "func", "profile", "n", "profile_seed")
 
 
 def _manifest(args, desc, started):
@@ -108,15 +103,12 @@ def _manifest(args, desc, started):
     }
 
 
-def _emit(args, payload, summary_lines):
+def _emit(payload, summary_lines):
     for line in summary_lines:
         print(line, file=sys.stderr)
     # result dataclasses go in through asdict; their one array field, the
     # bound's z, is written as a list
-    blob = json.dumps(payload, indent=2, default=np.ndarray.tolist)
-    print(blob)
-    if getattr(args, "json", None):
-        Path(args.json).write_text(blob + "\n")
+    print(json.dumps(payload, indent=2, default=np.ndarray.tolist))
 
 
 def cmd_bound(args):
@@ -124,7 +116,7 @@ def cmd_bound(args):
     s, desc = _resolve_source(args)
     rep = support_bound(s, J=args.j)
     payload = {"manifest": _manifest(args, desc, started), **asdict(rep)}
-    _emit(args, payload, [
+    _emit(payload, [
         f"profile: {desc}",
         f"trivial bound   {rep.trivial_bound:.6f}",
         f"improved bound  {rep.improved_bound:.6f}",
@@ -157,17 +149,17 @@ def cmd_qve(args):
         rows = "\n".join(f"{t:.10g},{v:.10g}" for t, v in zip(taus, vals))
         Path(args.csv).write_text("tau,density\n" + rows + "\n")
         lines.append(f"density scan ({len(taus)} points) written to {args.csv}")
-    _emit(args, payload, lines)
+    _emit(payload, lines)
     return 0
 
 
 def cmd_mc(args):
     started = time.perf_counter()
-    s, desc = _resolve_source(args)
     cfg = McConfig(trials=args.trials, seed=args.seed, ensemble=args.ensemble)
+    s, desc = _resolve_source(args)
     res = mc_experiment(s, cfg)
     payload = {"manifest": _manifest(args, desc, started), **asdict(res)}
-    _emit(args, payload, [
+    _emit(payload, [
         f"profile: {desc}",
         f"mean |lambda|_max = {res.mean:.4f} +/- {res.std:.4f} "
         f"over {len(res.per_trial)} trials ({res.failures} failures)",
@@ -177,6 +169,8 @@ def cmd_mc(args):
 
 def cmd_report(args):
     started = time.perf_counter()
+    # bad MC settings fail before any stage runs
+    cfg = McConfig(trials=args.trials, seed=args.seed, ensemble=args.ensemble)
     s, desc = _resolve_source(args)
     # cheap stages first, so that a failing profile fails fast
     rep = support_bound(s, J=args.j)
@@ -184,7 +178,6 @@ def cmd_report(args):
     proxy = support_from_moments(table)
     est = estimate_support(s, eta=args.eta, grid_step=args.grid_step,
                            threshold=args.threshold)
-    cfg = McConfig(trials=args.trials, seed=args.seed, ensemble=args.ensemble)
     mc = mc_experiment(s, cfg)
     payload = {
         "manifest": _manifest(args, desc, started),
@@ -212,7 +205,7 @@ def cmd_report(args):
                 "bound the largest eigenvalue of the Gram matrix")
         payload["note"] = note
         lines.append("note: " + note)
-    _emit(args, payload, lines)
+    _emit(payload, lines)
     return 0
 
 
@@ -229,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bound", help="row-sum support bound")
     _source_flags(b)
     _bound_flags(b)
-    _output_flags(b)
     b.set_defaults(func=cmd_bound)
 
     q = sub.add_parser("qve", help="support edge from the smoothed density")
@@ -239,13 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a tau,density scan to this CSV file")
     q.add_argument("--csv-step", type=float, default=0.05,
                    help="tau resolution of the CSV scan (default 0.05)")
-    _output_flags(q)
     q.set_defaults(func=cmd_qve)
 
     m = sub.add_parser("mc", help="largest-eigenvalue sampling experiment")
     _source_flags(m)
     _mc_flags(m)
-    _output_flags(m)
     m.set_defaults(func=cmd_mc)
 
     r = sub.add_parser("report", help="combined comparison of all estimates")
@@ -255,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="depth of the moment proxy (default 100)")
     _qve_flags(r)
     _mc_flags(r)
-    _output_flags(r)
     r.set_defaults(func=cmd_report)
     return p
 

@@ -35,6 +35,11 @@ class McConfig:
     ensemble: str = "real-symmetric"
 
     def __post_init__(self):
+        # NumPy integers are stored as int, so that results serialize
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, np.integer):
+                object.__setattr__(self, name, int(value))
         if not isinstance(self.trials, int) or self.trials < 1:
             raise InputError(f"trials must be a positive integer, got {self.trials!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:

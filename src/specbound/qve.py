@@ -7,9 +7,9 @@ For every z in the upper half-plane the system
 has exactly one solution vector m.  Averaging its imaginary part over
 rows gives a smoothed spectral density whose support is the quantity
 the row-sum bounds in :mod:`specbound.bounds` control from above.
-This module solves the system pointwise, scans it over grids to locate
-the support edge, and runs the companion moment recursion together
-with its root-growth support proxy.
+This module solves the system on grids of points, scans the density
+over them to locate the support edge, and runs the companion moment
+recursion together with its root-growth support proxy.
 
 Every solve runs through one kernel: Anderson-accelerated fixed-point
 iteration of m -> -1/(z + S m) on a block of shifted points, iterated
@@ -17,12 +17,11 @@ as matrix-matrix products.  Plain iteration contracts at a rate only
 O(Im z) away from one near the spectrum; the short per-point history
 removes that slow contraction with the same matrix products, so no
 Newton rescue is needed.  The kernel has one caller, _solve_block,
-which solve_qve calls on a single point and density_scan on each block
-of points: it starts every point at m = -1/z, converges every point of
-the block (none is abandoned early), and is the one place that raises
-ConvergenceError.  The support scan reads its densities from
-density_scan, so both scans converge to the one tolerance _TOL within
-the one budget _MAX_SWEEPS.
+which density_scan calls on each block of points: it starts every
+point at m = -1/z, converges every point of the block (none is
+abandoned early), and is the one place that raises ConvergenceError.
+The support scan reads its densities from density_scan, so both scans
+converge to the one tolerance _TOL within the one budget _MAX_SWEEPS.
 
 The support scan starts from a certified ceiling on the edge rather
 than from the row-sum bound: max_x (1/u_x + (S u)_x) at any computed
@@ -64,26 +63,6 @@ _CEILING_STEPS = 60
 
 
 @dataclass(frozen=True)
-class SpectralProbe:
-    """Solution of the self-consistent system at one spectral point.
-
-    ``residual`` is the sup-norm defect ``max_x |m_x + 1/(z + (S m)_x)|``
-    of the returned vector, and ``iterations`` counts every update step
-    the solver performed to reach it.
-    """
-
-    z: complex
-    m: np.ndarray = field(repr=False)
-    iterations: int
-    residual: float
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
-
-
-@dataclass(frozen=True)
 class SupportEstimate:
     """Largest grid point whose smoothed density exceeds the threshold.
 
@@ -113,13 +92,6 @@ class MomentTable:
     @property
     def kmax(self) -> int:
         return self.c.shape[1] - 1
-
-
-def _check_z(z) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag) and z.imag > 0):
-        raise DomainError(f"z must be finite with positive imaginary part, got {z}")
-    return z
 
 
 def _check_positive(**values):
@@ -254,26 +226,6 @@ def _solve_block(entries, zb, tol, cap):
             iterations=sweeps,
         )
     return m, sweeps, res
-
-
-def solve_qve(s: VarianceMatrix, z, tol: float = 1e-9,
-              max_iter: int = 200_000) -> SpectralProbe:
-    """Solve -1/m_x = z + (S m)_x for the upper-half-plane vector m.
-
-    Anderson-accelerated fixed-point iteration from m = -1/z, as a
-    block of one point (see _solve_block); ``iterations`` counts its
-    update steps.  Raises ConvergenceError when max_iter update steps
-    did not reach the tolerance or an update was not finite,
-    DomainError when z is not finite or Im z <= 0 or when tol is not
-    positive and finite, and InputError when max_iter is below 1.
-    """
-    z = _check_z(z)
-    _check_positive(tol=tol)
-    if max_iter < 1:
-        raise InputError(f"max_iter must be at least 1, got {max_iter}")
-    m, it, res = _solve_block(s.entries, np.array([z]), tol, max_iter)
-    # the defect of the returned vector is exactly its last update norm
-    return SpectralProbe(z=z, m=m[0], iterations=it, residual=float(res[0]))
 
 
 def density(s: VarianceMatrix, tau: float, eta: float) -> float:
@@ -411,18 +363,17 @@ def moment_recursion(s: VarianceMatrix, kmax: int) -> MomentTable:
     return MomentTable(c=c[:, :n].T)
 
 
-def support_from_moments(table: MomentTable, kmax: int | None = None) -> float:
-    """Support proxy max_x c[x, kmax] ** (1 / (2 kmax)).
+def support_from_moments(table: MomentTable) -> float:
+    """Support proxy max_x c[x, k] ** (1 / (2 k)) at the table's depth
+    k = table.kmax.
 
-    Nondecreasing in kmax and never above the true support edge, so it
-    complements the density scan from below.
+    Nondecreasing in k and never above the true support edge, so it
+    complements the density scan from below.  A shallower proxy comes
+    from a shallower table: moment_recursion(s, k) is the first k + 1
+    columns of any deeper table of s, bit for bit.  Raises InputError
+    on a table of depth 0, which holds no moment to take a root of.
     """
-    if kmax is None:
-        kmax = table.kmax
-    if not isinstance(kmax, int) or kmax < 1:
-        raise InputError(f"kmax must be a positive integer, got {kmax!r}")
-    if kmax > table.kmax:
-        raise InputError(
-            f"table only holds moments up to k = {table.kmax}, got kmax = {kmax}"
-        )
+    kmax = table.kmax
+    if kmax < 1:
+        raise InputError(f"table must hold moments up to k >= 1, got kmax = {kmax}")
     return float(table.c[:, kmax].max() ** (1.0 / (2 * kmax)))

@@ -98,7 +98,7 @@ def test_criterion_3_constant_profile_sanity_chain(wigner500, wigner500_support,
     est = wigner500_support
     res, _ = wigner500_mc
     table = moment_recursion(wigner500, kmax=20)
-    proxy = support_from_moments(table, kmax=20)
+    proxy = support_from_moments(table)
     reference = 6564120420 ** (1 / 40)
     _criterion(3, "constant profile sanity chain at N=500", [
         (f"improved bound {rep.improved_bound:.12f} equals 2 up to root tol",

@@ -135,21 +135,14 @@ def test_bound_requires_a_source(capsys):
     assert "source" in err
 
 
-@pytest.mark.parametrize("removed", [("--tol", "1e-12"), ("--matrix", "m.txt")],
-                         ids=["tol", "matrix"])
+@pytest.mark.parametrize("removed", [
+    ("--tol", "1e-12"), ("--matrix", "m.txt"), ("--json", "report.json")],
+    ids=["tol", "matrix", "json"])
 def test_bound_removed_flags_are_unrecognized(capsys, removed):
     with pytest.raises(SystemExit) as exc:
         run(["bound", "--profile", "wigner", "--n", "4", *removed])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
-
-
-def test_json_file_mirrors_stdout(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    code, payload, _ = invoke(capsys, "bound", "--profile", "wigner",
-                              "--n", "6", "--j", "3", "--json", str(out))
-    assert code == 0
-    assert json.loads(out.read_text()) == payload
 
 
 # --------------------------------------------------------------------- qve
@@ -259,6 +252,20 @@ def test_report_gram_source_carries_note(tmp_path, capsys):
     assert code == 0
     assert "singular value" in payload["note"]
     assert "note:" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1")])
+def test_report_checks_mc_flags_before_any_stage(monkeypatch, capsys, flag, value):
+    import specbound.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "support_bound", lambda *a, **k: calls.append(a))
+    code, payload, err = invoke(capsys, "report", "--profile", "wigner",
+                                "--n", "4", flag, value)
+    assert code == 2
+    assert payload is None
+    assert flag[2:] in err
+    assert calls == []
 
 
 def test_report_overflow_is_a_numeric_failure(tmp_path, capsys):

@@ -145,6 +145,24 @@ def test_config_validation():
         McConfig(trials=2, seed=1, ensemble="quaternion")
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.uint64])
+def test_config_accepts_numpy_integers(kind):
+    cfg = McConfig(trials=kind(2), seed=kind(7))
+    assert type(cfg.trials) is int and type(cfg.seed) is int
+    assert cfg == McConfig(trials=2, seed=7)
+    res = mc_experiment(wigner_profile(5), cfg)
+    assert json.loads(json.dumps(asdict(res)))["seed"] == 7
+    top = int(np.iinfo(kind).max)
+    assert McConfig(trials=1, seed=kind(top)).seed == top
+    with pytest.raises(InputError, match="trials"):
+        McConfig(trials=kind(0), seed=1)
+    with pytest.raises(InputError, match="seed"):
+        McConfig(trials=1, seed=np.int64(-1))
+    for seed in (2**64, 2**70):
+        with pytest.raises(InputError, match="seed"):
+            McConfig(trials=1, seed=seed)
+
+
 def test_experiment_is_deterministic():
     s = exp_profile(25)
     cfg = McConfig(trials=3, seed=9)
