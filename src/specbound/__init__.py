@@ -15,13 +15,8 @@ __version__ = "0.1.0"
 from .errors import (  # noqa: E402
     SpecboundError,
     InputError,
-    MatrixFormatError,
-    ZeroMatrixError,
-    DomainError,
     NumericError,
     ConvergenceError,
-    ToleranceError,
-    OverflowGuardError,
 )
 from .linalg import (  # noqa: E402
     VarianceMatrix,
@@ -43,7 +38,6 @@ from .bounds import (  # noqa: E402
     support_bound,
 )
 from .qve import (  # noqa: E402
-    MomentTable,
     SupportEstimate,
     density,
     density_scan,

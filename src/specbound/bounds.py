@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError
+from .errors import InputError
 from .linalg import NormSequence, VarianceMatrix, norm_sequence
 
 __all__ = ["root_function", "critical_w", "support_bound", "BoundReport"]
@@ -38,7 +38,7 @@ def root_function(w: float, ns: NormSequence) -> float:
     Defined for 0 <= w < 2; the geometric closing term diverges at 2.
     """
     if not 0.0 <= w < 2.0:
-        raise DomainError(f"root function is defined on [0, 2), got w={w}")
+        raise InputError(f"root function is defined on [0, 2), got w={w}")
     z = ns.z
     x = w / 2.0
     J = len(z)
@@ -51,11 +51,11 @@ def critical_w(ns: NormSequence) -> float:
     """Locate the root of phi by bisection on [0, 2).
 
     The result is the midpoint of a bracket of width at most 1e-12,
-    reached after 41 halvings of [0, 2).
+    reached after 41 halvings of [0, 2).  The bracket always holds the
+    root: NormSequence pins z_1 = 1 and every z_j > 0, so at the top
+    x = w/2 = 1 - 5e-15 phi is at most 1 - x - x^2 < 0.
     """
     lo, hi = 0.0, 2.0 - 1e-14
-    if root_function(hi, ns) >= 0.0:
-        raise ToleranceError("no sign change on [0, 2); norm sequence is invalid")
     while hi - lo > _BRACKET:
         mid = (lo + hi) / 2.0
         if root_function(mid, ns) > 0.0:
@@ -77,20 +77,6 @@ class BoundReport:
     improved_bound: float
     z: np.ndarray = field(repr=False)
 
-    @classmethod
-    def from_sequence(cls, ns: NormSequence, n: int) -> "BoundReport":
-        wc = critical_w(ns)
-        trivial = 2.0 * math.sqrt(ns.norm_s)
-        return cls(
-            n=n,
-            J=ns.J,
-            norm_s=ns.norm_s,
-            w_c=wc,
-            trivial_bound=trivial,
-            improved_bound=trivial / wc,
-            z=np.array(ns.z),
-        )
-
 
 def support_bound(s: VarianceMatrix, J: int = 50) -> BoundReport:
     """Compute trivial and improved support bounds for a profile.
@@ -99,4 +85,14 @@ def support_bound(s: VarianceMatrix, J: int = 50) -> BoundReport:
     only tighten the improved bound.
     """
     ns = norm_sequence(s, J)
-    return BoundReport.from_sequence(ns, n=s.n)
+    wc = critical_w(ns)
+    trivial = 2.0 * math.sqrt(ns.norm_s)
+    return BoundReport(
+        n=s.n,
+        J=ns.J,
+        norm_s=ns.norm_s,
+        w_c=wc,
+        trivial_bound=trivial,
+        improved_bound=trivial / wc,
+        z=np.array(ns.z),
+    )

@@ -1,9 +1,9 @@
-"""Exception hierarchy.
+"""Exception hierarchy: two families, four classes.
 
-Two families matter to callers: input problems (bad matrices, bad files,
-out-of-range arguments) and numeric failures (iterations that did not
-converge, overflow). The CLI maps the first family to exit code 2 and the
-second to exit code 3.
+Callers act on two families: InputError (bad matrices, bad files,
+out-of-range arguments; CLI exit code 2) and NumericError (iterations
+that did not converge, overflow; exit code 3). ConvergenceError, a
+NumericError, also carries the residual and iteration count it stopped at.
 """
 
 
@@ -15,20 +15,8 @@ class InputError(SpecboundError):
     """Invalid input: bad file, bad matrix, out-of-domain argument."""
 
 
-class MatrixFormatError(InputError):
-    """A matrix file could not be parsed."""
-
-
-class ZeroMatrixError(InputError):
-    """An operation that needs a positive norm received the zero matrix."""
-
-
-class DomainError(InputError):
-    """An argument lies outside the mathematical domain of the operation."""
-
-
 class NumericError(SpecboundError):
-    """Numeric failure: non-convergence, overflow, lost bracket."""
+    """Numeric failure: non-convergence, overflow."""
 
 
 class ConvergenceError(NumericError):
@@ -38,11 +26,3 @@ class ConvergenceError(NumericError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-
-
-class ToleranceError(NumericError):
-    """A root bracket could not be established (defensive; should not occur)."""
-
-
-class OverflowGuardError(NumericError):
-    """A computed value left the double-precision range."""

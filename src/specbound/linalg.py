@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, MatrixFormatError, ZeroMatrixError
+from .errors import InputError, NumericError
 
 __all__ = [
     "VarianceMatrix",
@@ -143,8 +143,18 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def inf_norm(s: VarianceMatrix) -> float:
-    """Max row sum norm of a variance profile."""
-    return float((s.entries @ np.ones(s.n)).max())
+    """Max row sum norm of a variance profile.
+
+    The entries are finite, but their row sums can leave
+    double-precision range; that raises NumericError.
+    """
+    with np.errstate(over="ignore"):
+        norm = float((s.entries @ np.ones(s.n)).max())
+    if not np.isfinite(norm):
+        raise NumericError(
+            "max row sum |S| overflows double precision; rescale the profile and retry"
+        )
+    return norm
 
 
 def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
@@ -161,9 +171,9 @@ def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
         raise InputError(f"J must be at least 1, got {J}")
     entries = s.entries
     u = np.ones(s.n)
-    norm = float((entries @ u).max())
+    norm = inf_norm(s)
     if norm == 0.0:
-        raise ZeroMatrixError("the zero matrix has no norm sequence")
+        raise InputError("the zero matrix has no norm sequence")
     z = np.empty(J)
     for j in range(J):
         u = (entries @ u) / norm
@@ -253,15 +263,15 @@ def load_dense(path) -> np.ndarray:
     * csv: a header ``n=<rows>`` followed by comma separated rows.
 
     Rows may be rectangular (all the same length).  Malformed content
-    raises MatrixFormatError with the offending line.
+    raises InputError with the offending line.
     """
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
-        raise MatrixFormatError(f"{path}: not a text file: {exc}") from None
+        raise InputError(f"{path}: not a text file: {exc}") from None
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
-        raise MatrixFormatError(f"{path}: file is empty")
+        raise InputError(f"{path}: file is empty")
     head = lines[0]
     m = _CSV_HEADER.match(head)
     if m:
@@ -269,22 +279,22 @@ def load_dense(path) -> np.ndarray:
     elif head.isdecimal():  # isdigit() also passes '²', which int() rejects
         nrows, sep = int(head), None
     else:
-        raise MatrixFormatError(
+        raise InputError(
             f"{path}: first line must be a row count or 'n=<rows>', got {head!r}"
         )
     body = lines[1:]
     if nrows < 1:
-        raise MatrixFormatError(f"{path}: row count must be positive")
+        raise InputError(f"{path}: row count must be positive")
     if len(body) != nrows:
-        raise MatrixFormatError(f"{path}: expected {nrows} rows, found {len(body)}")
+        raise InputError(f"{path}: expected {nrows} rows, found {len(body)}")
     rows = []
     for i, line in enumerate(body, start=2):
         try:
             row = [float(tok) for tok in line.split(sep)]
         except ValueError as exc:
-            raise MatrixFormatError(f"{path}: line {i}: {exc}") from None
+            raise InputError(f"{path}: line {i}: {exc}") from None
         if rows and len(row) != len(rows[0]):
-            raise MatrixFormatError(
+            raise InputError(
                 f"{path}: line {i}: expected {len(rows[0])} values, found {len(row)}"
             )
         rows.append(row)
@@ -295,9 +305,7 @@ def load_matrix(path, repair: bool = False) -> VarianceMatrix:
     """Read a square variance profile from a text file."""
     a = load_dense(path)
     if a.shape[0] != a.shape[1]:
-        raise MatrixFormatError(
-            f"{path}: expected a square matrix, got shape {a.shape}"
-        )
+        raise InputError(f"{path}: expected a square matrix, got shape {a.shape}")
     return VarianceMatrix(a, repair=repair)
 
 

@@ -40,11 +40,11 @@ when none of them exceeds the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InputError, OverflowGuardError
+from .errors import ConvergenceError, InputError, NumericError
 from .linalg import VarianceMatrix, inf_norm
 
 # Points iterated together by the block kernel, and the Anderson history
@@ -78,26 +78,10 @@ class SupportEstimate:
     grid_top: float
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Row-resolved even-moment table c[x, k] for k = 0 .. kmax."""
-
-    c: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-
-    @property
-    def kmax(self) -> int:
-        return self.c.shape[1] - 1
-
-
 def _check_positive(**values):
     for name, value in values.items():
         if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be positive and finite, got {value}")
+            raise InputError(f"{name} must be positive and finite, got {value}")
 
 
 def _anderson(entries, zb, m, tol, cap):
@@ -109,7 +93,8 @@ def _anderson(entries, zb, m, tol, cap):
     with ``g = -1/(z + S m)``, and the mask of rows left unconverged.  A
     row stops once its update norm is at most tol, holding the iterate
     whose defect that norm is.  The kernel returns at once when an
-    update norm is not finite, leaving that row unconverged.
+    update norm or the Anderson Gram matrix is not finite, leaving the
+    running rows unconverged.
 
     Every other row moves to ``g - dG gamma``, where dF and dG hold the
     last _DEPTH differences of the updates ``f = g - m`` and of g, and
@@ -157,6 +142,8 @@ def _anderson(entries, zb, m, tol, cap):
         weight = 1.0 / np.abs(g)
         wf = hist_f * weight[:, None, :]
         gram = wf.conj() @ wf.transpose(0, 2, 1)
+        if not np.isfinite(gram).all():
+            break
         rhs = wf.conj() @ (f * weight)[:, :, None]
         gamma = np.linalg.pinv(gram, rcond=1e-12, hermitian=True) @ rhs
         cur = g - (gamma.transpose(0, 2, 1) @ hist_g)[:, 0]
@@ -238,14 +225,14 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
 
     Blocks of _BLOCK points are iterated together by _solve_block, each
     point from m = -1/z, to an update norm of _TOL within _MAX_SWEEPS
-    sweeps.  Raises DomainError when a tau is not finite, and
+    sweeps.  Raises InputError when a tau is not finite, and
     ConvergenceError naming the first point of a block that is left
     unconverged.
     """
     _check_positive(eta=eta)
     taus = np.asarray(taus, dtype=float).ravel()
     if not np.isfinite(taus).all():
-        raise DomainError(f"taus must be finite, got {taus[~np.isfinite(taus)][0]}")
+        raise InputError(f"taus must be finite, got {taus[~np.isfinite(taus)][0]}")
     out = np.empty(len(taus))
     for start in range(0, len(taus), _BLOCK):
         zb = taus[start:start + _BLOCK] + 1j * eta
@@ -325,23 +312,24 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     return SupportEstimate(hit, True, eta, grid_step, threshold, grid_top)
 
 
-def moment_recursion(s: VarianceMatrix, kmax: int) -> MomentTable:
+def moment_recursion(s: VarianceMatrix, kmax: int) -> np.ndarray:
     """Row-resolved even moments via the tree recursion.
 
         c[x, 0] = 1,
         c[x, k] = sum_y S_xy sum_{m=0}^{k-1} c[x, k-1-m] c[y, m].
 
-    Order k is kept as one row c_k (the column c[:, k] of the returned
-    table), next to the cached products S c_m, and is computed in one
-    step: one matrix-vector product S c_{k-1}, one elementwise product
-    of the k rows c_{k-1}, ..., c_0 with S c_0, ..., S c_{k-1}, and one
-    reduction of those k rows.  The reduction adds the terms in the
-    order m = 0 .. k-1, as the formula's loop does, so the table equals
-    the loop's bit for bit.  The cost is kmax matrix-vector products and
-    kmax (kmax + 1) / 2 vector products, O(kmax n^2 + kmax^2 n), in
-    kmax steps.  Raises OverflowGuardError as soon as an entry
-    leaves double-precision range; rescaling S by 1/a rescales c[x, k]
-    by a^-k, so large profiles can be probed after scaling.
+    Returns the read-only n-by-(kmax + 1) table c.  Order k is kept as
+    one row c_k (the column c[:, k] of the table), next to the cached
+    products S c_m, and is computed in one step: one matrix-vector
+    product S c_{k-1}, one elementwise product of the k rows c_{k-1},
+    ..., c_0 with S c_0, ..., S c_{k-1}, and one reduction of those k
+    rows.  The reduction adds the terms in the order m = 0 .. k-1, as
+    the formula's loop does, so the table equals the loop's bit for
+    bit.  The cost is kmax matrix-vector products and kmax (kmax + 1) / 2
+    vector products, O(kmax n^2 + kmax^2 n), in kmax steps.  Raises
+    NumericError as soon as an entry leaves double-precision range;
+    rescaling S by 1/a rescales c[x, k] by a^-k, so large profiles can
+    be probed after scaling.
     """
     if not isinstance(kmax, int) or kmax < 0:
         raise InputError(f"kmax must be a nonnegative integer, got {kmax!r}")
@@ -357,15 +345,17 @@ def moment_recursion(s: VarianceMatrix, kmax: int) -> MomentTable:
             sc[k - 1, :n] = entries @ c[k - 1, :n]
             np.add.reduce(c[k - 1::-1] * sc[:k], axis=0, out=c[k])
         if not np.all(np.isfinite(c[k])):
-            raise OverflowGuardError(
+            raise NumericError(
                 f"moment overflow at k = {k}; rescale the profile and retry"
             )
-    return MomentTable(c=c[:, :n].T)
+    table = c[:, :n].T
+    table.setflags(write=False)
+    return table
 
 
-def support_from_moments(table: MomentTable) -> float:
+def support_from_moments(table: np.ndarray) -> float:
     """Support proxy max_x c[x, k] ** (1 / (2 k)) at the table's depth
-    k = table.kmax.
+    k = table.shape[1] - 1.
 
     Nondecreasing in k and never above the true support edge, so it
     complements the density scan from below.  A shallower proxy comes
@@ -373,7 +363,7 @@ def support_from_moments(table: MomentTable) -> float:
     columns of any deeper table of s, bit for bit.  Raises InputError
     on a table of depth 0, which holds no moment to take a root of.
     """
-    kmax = table.kmax
+    kmax = table.shape[1] - 1
     if kmax < 1:
         raise InputError(f"table must hold moments up to k >= 1, got kmax = {kmax}")
-    return float(table.c[:, kmax].max() ** (1.0 / (2 * kmax)))
+    return float(table[:, kmax].max() ** (1.0 / (2 * kmax)))

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from specbound.errors import DomainError, InputError
+from specbound.errors import InputError
 
 
 class SizeGuardError(InputError):
@@ -326,11 +326,11 @@ def dyck_transition_prob(t: int, h: int, k: int, exact: bool = False):
     ``exact=True`` the result is a Fraction instead of a float.
     """
     if k < 1:
-        raise DomainError(f"k must be at least 1, got {k}")
+        raise InputError(f"k must be at least 1, got {k}")
     if not (0 <= t < 2 * k):
-        raise DomainError(f"time {t} outside [0, {2 * k})")
+        raise InputError(f"time {t} outside [0, {2 * k})")
     if not (0 <= h <= min(t, 2 * k - t)):
-        raise DomainError(f"height {h} unreachable at time {t} for k={k}")
+        raise InputError(f"height {h} unreachable at time {t} for k={k}")
     if exact:
         return Fraction(h + 2, 2 * (h + 1)) * Fraction(2 * k - t - h, 2 * k - t)
     return 0.5 * (h + 2) / (h + 1) * (2 * k - t - h) / (2 * k - t)

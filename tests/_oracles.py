@@ -19,7 +19,7 @@ import itertools
 from _dyck import PlaneTree, SizeGuardError, run_statistics, run_z_weight
 from _treeval import tree_val_vector
 from _walks import _prefix, floor_walk_closed_form, floor_walk_step_product
-from specbound.errors import DomainError, InputError, ToleranceError
+from specbound.errors import InputError, NumericError
 from specbound.linalg import NormSequence, VarianceMatrix
 
 _SERIES_LIMIT = 20
@@ -67,7 +67,7 @@ def pbot_probability(h: int, omega) -> float:
     a = floor_walk_step_product(h, omega)
     b = floor_walk_closed_form(h, omega)
     if abs(a - b) > 1e-14:
-        raise ToleranceError(
+        raise NumericError(
             f"step product {a!r} and closed form {b!r} disagree"
         )
     return b
@@ -88,7 +88,7 @@ def stopped_walk_series_exhaustive(
             f"enumeration is limited to n_max <= {_SERIES_LIMIT}, got {n_max}"
         )
     if w < 0:
-        raise DomainError(f"w must be nonnegative, got {w}")
+        raise InputError(f"w must be nonnegative, got {w}")
     z = sub.z
     total = 1.0  # empty walk
     for n in range(1, n_max + 1):

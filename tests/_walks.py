@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from specbound.bounds import critical_w, root_function
-from specbound.errors import DomainError, InputError
+from specbound.errors import InputError
 from specbound.linalg import NormSequence
 
 
@@ -44,7 +44,7 @@ def _validated_steps(h: int, omega) -> tuple:
     g = h
     for i, s in enumerate(steps):
         if g < 0:
-            raise DomainError(
+            raise InputError(
                 f"walk height {g} below the floor before step {i + 1}"
             )
         g += s
@@ -87,8 +87,8 @@ def stopped_walk_generating_function(ns: NormSequence, J: int, w: float) -> floa
     # [0, 2); critical_w only names the pole in the message
     denom = root_function(w, sub)
     if denom <= 0.0:
-        raise DomainError(f"w={w} is at or beyond the pole near "
-                          f"w={critical_w(sub):.12g}")
+        raise InputError(f"w={w} is at or beyond the pole near "
+                         f"w={critical_w(sub):.12g}")
     x = w / 2.0
     series = 1.0 + float((x ** np.arange(1, J + 1)) @ sub.z)
     series += x ** (J + 1) / (1.0 - x)

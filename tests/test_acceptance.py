@@ -22,7 +22,7 @@ from _walks import (
 from conftest import ACCEPTANCE_LINES
 
 from specbound.bounds import critical_w, support_bound
-from specbound.errors import DomainError
+from specbound.errors import InputError
 from specbound.linalg import NormSequence, random_profile
 from specbound.qve import moment_recursion, support_from_moments
 
@@ -122,7 +122,7 @@ def test_criterion_4_moments_equal_tree_sums():
             total = np.zeros(n)
             for tree in enumerate_trees(k):
                 total += tree_val_vector(s, tree)
-            gap = np.abs(table.c[:, k] - total)
+            gap = np.abs(table[:, k] - total)
             rel = float((gap / np.maximum(np.abs(total), 1e-300)).max())
             worst = max(worst, rel)
             if rel > 1e-10:
@@ -210,7 +210,7 @@ def test_criterion_7_stopped_walk_closed_form_and_pole():
             try:
                 stopped_walk_generating_function(ns, ns.J, mid)
                 lo = mid
-            except DomainError:
+            except InputError:
                 hi = mid
         if abs(lo - critical_w(ns)) > 1e-9:
             pole_failures.append(i)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specbound.bounds import BoundReport, critical_w, root_function, support_bound
-from specbound.errors import DomainError
+from specbound.bounds import critical_w, root_function, support_bound
+from specbound.errors import InputError
 from specbound.linalg import (
     NormSequence,
     exp_profile,
@@ -48,7 +48,7 @@ def test_root_function_constant_sequence_closed_form(w):
 
 @pytest.mark.parametrize("w", [-0.1, -5.0, 2.0, 2.5, np.inf])
 def test_root_function_domain(w):
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         root_function(w, ones_sequence(3))
 
 
@@ -104,6 +104,8 @@ def test_critical_w_tolerance_parameter():
 )
 def test_critical_w_lands_in_unit_to_two(vals):
     ns = NormSequence(norm_s=1.0, z=np.array([1.0] + vals))
+    # the bisection's top end always lies past the root
+    assert root_function(2 - 1e-14, ns) < 0
     w = critical_w(ns)
     assert 1.0 - 1e-9 <= w < 2.0
     assert abs(root_function(w, ns)) < 1e-9
@@ -198,11 +200,3 @@ def test_report_serializes_to_json():
         assert key in blob
     assert len(blob["z"]) == 10
     assert blob["z"][0] == 1.0
-
-
-def test_report_accepts_precomputed_sequence():
-    s = exp_profile(120)
-    ns = norm_sequence(s, 15)
-    rep = BoundReport.from_sequence(ns, n=s.n)
-    full = support_bound(s, J=15)
-    assert rep.improved_bound == pytest.approx(full.improved_bound, rel=1e-13)

@@ -277,6 +277,17 @@ def test_report_overflow_is_a_numeric_failure(tmp_path, capsys):
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("command", ["bound", "qve", "report"])
+def test_row_sum_overflow_is_a_numeric_failure(tmp_path, capsys, command):
+    # finite entries whose row sums leave double-precision range
+    f = tmp_path / "huge.txt"
+    write_plain(f, [[1e308, 1e308], [1e308, 1e308]])
+    code, payload, err = invoke(capsys, command, "--profile", str(f))
+    assert code == 3
+    assert payload is None
+    assert "numeric failure: max row sum |S| overflows" in err
+
+
 def test_report_shares_flag_groups_with_qve_and_mc(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["report", "--help"])
@@ -354,17 +365,19 @@ def test_manifest_parameters_reconstruct_the_run(tmp_path, capsys):
         ["report", "--profile", f"gram:{rect}", "--j", "12", "--kmax", "20",
          "--threshold", "0.02", "--trials", "2"],
     ]
-    for argv in runs:
-        code, first, _ = invoke(capsys, *argv)
-        assert code == 0, argv
-        csv_first = csv_path.read_bytes() if "--csv" in argv else None
-        csv_path.unlink(missing_ok=True)
-        rebuilt = argv_from_manifest(first["manifest"])
-        code_again, again, _ = invoke(capsys, *rebuilt)
-        assert code_again == code, rebuilt
-        assert strip_timing(again) == strip_timing(first), rebuilt
-        if csv_first is not None:
-            assert csv_path.read_bytes() == csv_first, rebuilt
+    # the near file warns that it was repaired, on both of its runs
+    with pytest.warns(UserWarning, match="repaired"):
+        for argv in runs:
+            code, first, _ = invoke(capsys, *argv)
+            assert code == 0, argv
+            csv_first = csv_path.read_bytes() if "--csv" in argv else None
+            csv_path.unlink(missing_ok=True)
+            rebuilt = argv_from_manifest(first["manifest"])
+            code_again, again, _ = invoke(capsys, *rebuilt)
+            assert code_again == code, rebuilt
+            assert strip_timing(again) == strip_timing(first), rebuilt
+            if csv_first is not None:
+                assert csv_path.read_bytes() == csv_first, rebuilt
 
 
 def test_mc_rerun_reproduces_trials(capsys):

@@ -20,7 +20,7 @@ from _dyck import (
     split_vertex,
     tree_to_path,
 )
-from specbound.errors import DomainError, InputError
+from specbound.errors import InputError
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 
@@ -294,7 +294,7 @@ def test_transition_prob_known_value():
 
 def test_transition_prob_domain():
     for t, h in [(-1, 0), (2, 3), (6, 1), (7, 0), (3, 4), (0, 1)]:
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             dyck_transition_prob(t, h, k=3)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specbound.errors import InputError, MatrixFormatError, ZeroMatrixError
+from specbound.errors import InputError, NumericError
 from specbound.linalg import (
     VarianceMatrix,
     NormSequence,
@@ -56,6 +56,14 @@ def test_inf_norm_exponential_profile():
     assert abs(2 * np.sqrt(inf_norm(s)) - 4.3159157401466) < 1e-10
 
 
+def test_inf_norm_raises_when_a_row_sum_overflows():
+    s = VarianceMatrix(np.full((2, 2), 1e308))
+    with pytest.raises(NumericError, match=r"max row sum \|S\| overflows"):
+        inf_norm(s)
+    with pytest.raises(NumericError, match="overflows"):
+        norm_sequence(s, 3)
+
+
 # ---------------------------------------------------------- norm_sequence
 
 def test_norm_sequence_constant_profile_all_ones():
@@ -89,7 +97,7 @@ def test_norm_sequence_oracle_sweep(n, seed):
 
 def test_norm_sequence_zero_matrix_rejected():
     s = VarianceMatrix(np.zeros((3, 3)))
-    with pytest.raises(ZeroMatrixError):
+    with pytest.raises(InputError):
         norm_sequence(s, 4)
 
 
@@ -385,7 +393,7 @@ def test_load_rectangular_for_gram(tmp_path):
 def test_load_rejects_malformed_files(tmp_path, content):
     p = tmp_path / "bad.txt"
     p.write_bytes(content)
-    with pytest.raises(MatrixFormatError):
+    with pytest.raises(InputError):
         load_dense(p)
 
 

@@ -9,12 +9,7 @@ import specbound.qve as qve
 from _dyck import enumerate_trees
 from _treeval import tree_val_vector
 from specbound.bounds import support_bound
-from specbound.errors import (
-    ConvergenceError,
-    DomainError,
-    InputError,
-    OverflowGuardError,
-)
+from specbound.errors import ConvergenceError, InputError, NumericError
 from specbound.linalg import (
     VarianceMatrix,
     exp_profile,
@@ -24,7 +19,6 @@ from specbound.linalg import (
     wigner_profile,
 )
 from specbound.qve import (
-    MomentTable,
     SupportEstimate,
     density,
     density_scan,
@@ -173,6 +167,13 @@ def test_scan_block_and_solver_raise_at_once_on_a_non_finite_update():
         with pytest.raises(ConvergenceError) as err:
             solve(huge, 1j, tol=1e-9, cap=200_000)
     assert err.value.iterations == 1
+    # from about 1e150 the weighted Anderson Gram matrix overflows, even
+    # where every update norm stays finite
+    for value, tau in [(1e150, 0.0), (1e308, 0.0), (1e308, 0.5)]:
+        s = VarianceMatrix(np.full((2, 2), value))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError):
+                density_scan(s, [tau])
 
 
 # ----------------------------------------------------------------- density
@@ -248,13 +249,13 @@ def test_density_scan_names_an_unconverged_point(monkeypatch):
 
 @pytest.mark.parametrize("eta", [0.0, math.nan, math.inf])
 def test_density_scan_rejects_bad_eta(eta):
-    with pytest.raises(DomainError, match="eta"):
+    with pytest.raises(InputError, match="eta"):
         density_scan(wigner_profile(5), [0.5], eta=eta)
 
 
 @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
 def test_density_scan_rejects_non_finite_taus(tau):
-    with pytest.raises(DomainError, match="taus"):
+    with pytest.raises(InputError, match="taus"):
         density_scan(wigner_profile(5), [tau, 0.5])
 
 
@@ -299,7 +300,7 @@ def test_support_estimate_respects_grid_parameters():
 @pytest.mark.parametrize("name", ["eta", "grid_step", "threshold"])
 @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf])
 def test_support_estimate_rejects_bad_scan_parameters(name, value):
-    with pytest.raises(DomainError, match=name):
+    with pytest.raises(InputError, match=name):
         estimate_support(wigner_profile(5), **{name: value})
 
 
@@ -519,23 +520,23 @@ def test_edge_ceiling_is_scale_equivariant(log_a, seed):
 
 def test_constant_profile_moments_are_catalan():
     table = moment_recursion(wigner_profile(8), kmax=5)
-    assert isinstance(table, MomentTable)
+    assert not table.flags.writeable
     for x in range(8):
-        assert [table.c[x, k] for k in range(6)] == [1, 1, 2, 5, 14, 42]
+        assert [table[x, k] for k in range(6)] == [1, 1, 2, 5, 14, 42]
 
 
 def test_first_moment_is_row_sum():
     s = seeded_profile(6, seed=2, scale=1.0)
     table = moment_recursion(s, kmax=1)
-    np.testing.assert_allclose(table.c[:, 1], s.entries.sum(axis=1), rtol=1e-14)
+    np.testing.assert_allclose(table[:, 1], s.entries.sum(axis=1), rtol=1e-14)
 
 
 def test_moment_table_invariants():
     s = exp_profile(12)
     table = moment_recursion(s, kmax=8)
-    np.testing.assert_array_equal(table.c[:, 0], np.ones(12))
-    assert np.all(table.c >= 0)
-    assert table.kmax == 8
+    np.testing.assert_array_equal(table[:, 0], np.ones(12))
+    assert np.all(table >= 0)
+    assert table.shape == (12, 9)
     with pytest.raises(InputError):
         moment_recursion(s, kmax=-1)
 
@@ -551,12 +552,12 @@ def test_moments_equal_tree_value_sums(n, seed):
         total = np.zeros(n)
         for t in enumerate_trees(k):
             total += tree_val_vector(s, t)
-        np.testing.assert_allclose(table.c[:, k], total, rtol=1e-10)
+        np.testing.assert_allclose(table[:, k], total, rtol=1e-10)
 
 
 def test_moment_overflow_guard():
     s = VarianceMatrix(np.full((3, 3), 1e80))
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(NumericError):
         moment_recursion(s, kmax=5)
 
 
@@ -571,7 +572,7 @@ def moment_recursion_loop(s, kmax):
             for m in range(k):
                 acc += c[:, k - 1 - m] * (s.entries @ c[:, m])
         if not np.all(np.isfinite(acc)):
-            raise OverflowGuardError(f"moment overflow at k = {k}")
+            raise NumericError(f"moment overflow at k = {k}")
         c[:, k] = acc
     return c
 
@@ -583,16 +584,16 @@ def moment_recursion_loop(s, kmax):
 ], ids=["random300", "exp200", "wigner50", "random1", "random2", "gram20x40"])
 def test_moment_recursion_equals_reference_loop(s):
     # n = 1 pins the summation order: NumPy sums one-wide rows pairwise
-    assert np.array_equal(moment_recursion(s, kmax=60).c,
+    assert np.array_equal(moment_recursion(s, kmax=60),
                           moment_recursion_loop(s, kmax=60))
 
 
 @pytest.mark.parametrize("value", [1000.0, 1e80])
 def test_moment_overflow_at_same_depth_as_reference_loop(value):
     s = VarianceMatrix(np.full((3, 3), value))
-    with pytest.raises(OverflowGuardError) as ref:
+    with pytest.raises(NumericError) as ref:
         moment_recursion_loop(s, kmax=100)
-    with pytest.raises(OverflowGuardError) as got:
+    with pytest.raises(NumericError) as got:
         moment_recursion(s, kmax=100)
     assert str(got.value).startswith(str(ref.value) + ";")
 
@@ -602,8 +603,8 @@ def test_moment_overflow_at_same_depth_as_reference_loop(value):
 def test_shallower_moment_table_is_a_prefix_of_a_deeper_one(s):
     # why the proxy needs no depth of its own: a shallower proxy is the
     # proxy of a shallower table, whose moments are the deeper table's
-    assert np.array_equal(moment_recursion(s, kmax=10).c,
-                          moment_recursion(s, kmax=30).c[:, :11])
+    assert np.array_equal(moment_recursion(s, kmax=10),
+                          moment_recursion(s, kmax=30)[:, :11])
 
 
 def test_support_proxy_constant_profile_frozen():
@@ -633,10 +634,8 @@ def test_support_proxy_increases_toward_edge():
 
 def test_support_proxy_defaults_to_table_depth():
     table = moment_recursion(wigner_profile(4), kmax=7)
-    assert support_from_moments(table) == table.c[:, 7].max() ** (1 / 14)
+    assert support_from_moments(table) == table[:, 7].max() ** (1 / 14)
     with pytest.raises(InputError, match="kmax = 0"):
         support_from_moments(moment_recursion(wigner_profile(4), kmax=0))
     # the depth is read off the table itself
-    table = MomentTable(c=np.full((3, 3), 4.0))
-    assert table.kmax == 2
-    assert support_from_moments(table) == 4.0 ** (1 / 4)
+    assert support_from_moments(np.full((3, 3), 4.0)) == 4.0 ** (1 / 4)

@@ -11,7 +11,7 @@ from _walks import (
     stopped_walk_generating_function,
 )
 from specbound.bounds import critical_w
-from specbound.errors import DomainError, InputError
+from specbound.errors import InputError
 from specbound.linalg import NormSequence, exp_profile, norm_sequence
 
 WC_HALF_DECAY = 1.033330823615332880248623
@@ -85,11 +85,11 @@ def test_floor_measure_is_normalized(h, n):
 
 
 def test_floor_walk_domain_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         floor_walk_step_product(-1, (1,))
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         floor_walk_closed_form(0, (-1, 1))   # steps again after dipping below
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         pbot_probability(1, (-1, -1, 1))
     with pytest.raises(InputError):
         pbot_probability(0, (1, 0))
@@ -105,15 +105,15 @@ def test_gf_constant_weights_give_one():
     ns = ones_sequence(6)
     for w in (0.1, 0.5, 0.9, 0.99):
         assert stopped_walk_generating_function(ns, 6, w) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         stopped_walk_generating_function(ns, 6, 1.0)
 
 
 def test_gf_domain_errors():
     ns = half_sequence()
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         stopped_walk_generating_function(ns, 2, -0.1)
-    with pytest.raises(DomainError):
+    with pytest.raises(InputError):
         stopped_walk_generating_function(ns, 2, WC_HALF_DECAY + 1e-3)
     # just below the pole is fine and the value has blown up
     assert stopped_walk_generating_function(ns, 2, WC_HALF_DECAY - 1e-9) < 0
@@ -167,7 +167,7 @@ def test_gf_pole_sits_at_critical_w():
         try:
             stopped_walk_generating_function(ns, 2, w)
             return True
-        except DomainError:
+        except InputError:
             return False
 
     lo, hi = 0.5, 1.9
