@@ -12,45 +12,9 @@ if _threads:
 
 __version__ = "0.1.0"
 
-from .errors import (  # noqa: E402
-    SpecboundError,
-    InputError,
-    NumericError,
-    ConvergenceError,
-)
-from .linalg import (  # noqa: E402
-    VarianceMatrix,
-    NormSequence,
-    inf_norm,
-    norm_sequence,
-    gram_linearize,
-    wigner_profile,
-    exp_profile,
-    random_profile,
-    load_dense,
-    load_matrix,
-    resolve_profile,
-)
-from .bounds import (  # noqa: E402
-    BoundReport,
-    critical_w,
-    root_function,
-    support_bound,
-)
-from .qve import (  # noqa: E402
-    SupportEstimate,
-    density,
-    density_scan,
-    estimate_support,
-    moment_recursion,
-    support_from_moments,
-)
-from .montecarlo import (  # noqa: E402
-    ENSEMBLES,
-    McConfig,
-    McResult,
-    mc_experiment,
-    sample_matrix,
-    spectral_radius,
-    trial_rng,
-)
+# each module declares its exports in __all__
+from .errors import *  # noqa: E402,F401,F403
+from .linalg import *  # noqa: E402,F401,F403
+from .bounds import *  # noqa: E402,F401,F403
+from .qve import *  # noqa: E402,F401,F403
+from .montecarlo import *  # noqa: E402,F401,F403

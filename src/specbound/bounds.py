@@ -94,5 +94,5 @@ def support_bound(s: VarianceMatrix, J: int = 50) -> BoundReport:
         w_c=wc,
         trivial_bound=trivial,
         improved_bound=trivial / wc,
-        z=np.array(ns.z),
+        z=ns.z,
     )

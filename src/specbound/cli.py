@@ -6,13 +6,18 @@ density, ``mc`` samples random matrices and measures their largest
 eigenvalue, and ``report`` combines all three into one comparison.
 
 Machine-readable output is JSON on stdout; the human summary goes to
-stderr so pipelines stay clean, and ``> report.json`` keeps the JSON. This
-module alone lays out that JSON: a manifest, then the fields of the
-result dataclasses in declaration order, as ``dataclasses.asdict``
-gives them. CSV is emitted only for density scans. Exit codes: 0 on
-success, 2 for input problems, 3 for numeric failures. The environment
-variable SPECBOUND_THREADS caps the threads used by the underlying
-linear algebra when it is set before the first import.
+stderr so pipelines stay clean, and ``> report.json`` keeps it. Every
+subcommand runs on one path, ``run``: it resolves the matrix source,
+calls the subcommand for its fields and summary lines, and prints them
+behind a manifest. This module alone lays out that JSON: ``bound``,
+``qve`` and ``mc`` give the fields of their result dataclass in
+declaration order, as ``dataclasses.asdict`` gives them, and ``report``
+lays out its own. A ``gram:`` source adds a note in every subcommand,
+since each then reports the largest singular value. CSV is emitted only
+for density scans. Exit codes: 0 on success, 2 for input problems, 3
+for numeric failures. The environment variable SPECBOUND_THREADS caps
+the threads used by the underlying linear algebra when it is set before
+the first import.
 """
 
 from __future__ import annotations
@@ -80,16 +85,13 @@ def _mc_flags(parser):
                         help="sampled matrix ensemble (default real-symmetric)")
 
 
-def _resolve_source(args):
-    if not args.profile:
-        raise InputError("a matrix source is required: --profile NAME|PATH")
-    return resolve_profile(args.profile, n=args.n, seed=args.profile_seed,
-                           repair=args.repair)
-
-
 # parsed options the manifest leaves out: the dispatch entries and the
 # three that the source descriptor already resolves
 _UNRECORDED = ("command", "func", "profile", "n", "profile_seed")
+
+_GRAM_NOTE = ("input was linearized from a rectangular matrix: the numbers "
+              "above control its largest singular value, so square them to "
+              "bound the largest eigenvalue of the Gram matrix")
 
 
 def _manifest(args, desc, started):
@@ -103,45 +105,26 @@ def _manifest(args, desc, started):
     }
 
 
-def _emit(payload, summary_lines):
-    for line in summary_lines:
-        print(line, file=sys.stderr)
-    # result dataclasses go in through asdict; their one array field, the
-    # bound's z, is written as a list
-    print(json.dumps(payload, indent=2, default=np.ndarray.tolist))
-
-
-def cmd_bound(args):
-    started = time.perf_counter()
-    s, desc = _resolve_source(args)
+def cmd_bound(args, s):
     rep = support_bound(s, J=args.j)
-    payload = {"manifest": _manifest(args, desc, started), **asdict(rep)}
-    _emit(payload, [
-        f"profile: {desc}",
+    return asdict(rep), [
         f"trivial bound   {rep.trivial_bound:.6f}",
         f"improved bound  {rep.improved_bound:.6f}",
         f"critical w      {rep.w_c:.6f}  (J = {rep.J})",
-    ])
-    return 0
+    ]
 
 
-def cmd_qve(args):
-    started = time.perf_counter()
+def cmd_qve(args, s):
     if not 0.0 < args.csv_step < math.inf:
         raise InputError(
             f"--csv-step must be positive and finite, got {args.csv_step}")
-    s, desc = _resolve_source(args)
     est = estimate_support(s, eta=args.eta, grid_step=args.grid_step,
                            threshold=args.threshold)
-    payload = {"manifest": _manifest(args, desc, started), **asdict(est)}
-    lines = [f"profile: {desc}"]
     if est.found:
-        lines.append(
-            f"support edge ~= {est.value:.6f}  "
-            f"(eta = {est.eta}, grid step = {est.grid_step})"
-        )
+        lines = [f"support edge ~= {est.value:.6f}  "
+                 f"(eta = {est.eta}, grid step = {est.grid_step})"]
     else:
-        lines.append("no density above the threshold; support not detected")
+        lines = ["no density above the threshold; support not detected"]
     if args.csv:
         taus = np.arange(0.0, max(est.grid_top, args.csv_step) + args.csv_step / 2,
                          args.csv_step)
@@ -149,29 +132,21 @@ def cmd_qve(args):
         rows = "\n".join(f"{t:.10g},{v:.10g}" for t, v in zip(taus, vals))
         Path(args.csv).write_text("tau,density\n" + rows + "\n")
         lines.append(f"density scan ({len(taus)} points) written to {args.csv}")
-    _emit(payload, lines)
-    return 0
+    return asdict(est), lines
 
 
-def cmd_mc(args):
-    started = time.perf_counter()
-    cfg = McConfig(trials=args.trials, seed=args.seed, ensemble=args.ensemble)
-    s, desc = _resolve_source(args)
-    res = mc_experiment(s, cfg)
-    payload = {"manifest": _manifest(args, desc, started), **asdict(res)}
-    _emit(payload, [
-        f"profile: {desc}",
+def cmd_mc(args, s):
+    res = mc_experiment(s, McConfig(trials=args.trials, seed=args.seed,
+                                    ensemble=args.ensemble))
+    return asdict(res), [
         f"mean |lambda|_max = {res.mean:.4f} +/- {res.std:.4f} "
         f"over {len(res.per_trial)} trials ({res.failures} failures)",
-    ])
-    return 0
+    ]
 
 
-def cmd_report(args):
-    started = time.perf_counter()
+def cmd_report(args, s):
     # bad MC settings fail before any stage runs
     cfg = McConfig(trials=args.trials, seed=args.seed, ensemble=args.ensemble)
-    s, desc = _resolve_source(args)
     # cheap stages first, so that a failing profile fails fast
     rep = support_bound(s, J=args.j)
     table = moment_recursion(s, kmax=args.kmax)
@@ -179,8 +154,7 @@ def cmd_report(args):
     est = estimate_support(s, eta=args.eta, grid_step=args.grid_step,
                            threshold=args.threshold)
     mc = mc_experiment(s, cfg)
-    payload = {
-        "manifest": _manifest(args, desc, started),
+    fields = {
         "trivial_bound": rep.trivial_bound,
         "improved_bound": rep.improved_bound,
         "w_c": rep.w_c,
@@ -190,8 +164,7 @@ def cmd_report(args):
         "moment_kmax": args.kmax,
         "mc": asdict(mc),
     }
-    lines = [
-        f"profile: {desc}",
+    return fields, [
         f"moment proxy    {proxy:.4f}   (kmax = {args.kmax})",
         f"mc mean         {mc.mean:.4f} +/- {mc.std:.4f}   "
         f"({len(mc.per_trial)} trials, {mc.failures} failures)",
@@ -199,14 +172,6 @@ def cmd_report(args):
         f"improved bound  {rep.improved_bound:.4f}   (w_c = {rep.w_c:.4f}, J = {rep.J})",
         f"trivial bound   {rep.trivial_bound:.4f}",
     ]
-    if desc.get("profile") == "gram":
-        note = ("input was linearized from a rectangular matrix: the numbers "
-                "above control its largest singular value, so square them to "
-                "bound the largest eigenvalue of the Gram matrix")
-        payload["note"] = note
-        lines.append("note: " + note)
-    _emit(payload, lines)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,8 +216,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        if not args.profile:
+            raise InputError("a matrix source is required: --profile NAME|PATH")
+        s, desc = resolve_profile(args.profile, n=args.n, seed=args.profile_seed,
+                                  repair=args.repair)
+        fields, lines = args.func(args, s)
+        payload = {"manifest": _manifest(args, desc, started), **fields}
+        lines = [f"profile: {desc}", *lines]
+        if desc.get("profile") == "gram":
+            payload["note"] = _GRAM_NOTE
+            lines.append("note: " + _GRAM_NOTE)
+        for line in lines:
+            print(line, file=sys.stderr)
+        # result dataclasses go in through asdict; their one array field,
+        # the bound's z, is written as a list
+        print(json.dumps(payload, indent=2, default=np.ndarray.tolist))
+        return 0
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

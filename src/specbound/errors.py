@@ -6,6 +6,8 @@ that did not converge, overflow; exit code 3). ConvergenceError, a
 NumericError, also carries the residual and iteration count it stopped at.
 """
 
+__all__ = ["SpecboundError", "InputError", "NumericError", "ConvergenceError"]
+
 
 class SpecboundError(Exception):
     """Base class for all package errors."""

@@ -122,7 +122,8 @@ class NormSequence:
     z: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
+        # a copy, so that the caller's array stays writeable
+        z = np.array(self.z, dtype=float)
         if self.norm_s <= 0:
             raise InputError(f"norm must be positive, got {self.norm_s}")
         if z.ndim != 1 or len(z) == 0:

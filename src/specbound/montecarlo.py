@@ -23,6 +23,9 @@ import numpy as np
 from .errors import InputError
 from .linalg import VarianceMatrix
 
+__all__ = ["ENSEMBLES", "McConfig", "McResult", "mc_experiment",
+           "sample_matrix", "spectral_radius", "trial_rng"]
+
 ENSEMBLES = ("real-symmetric", "complex-hermitian")
 
 

@@ -15,11 +15,11 @@ Every solve runs through one kernel: Anderson-accelerated fixed-point
 iteration of m -> -1/(z + S m) on a block of shifted points, iterated
 as matrix-matrix products.  Plain iteration contracts at a rate only
 O(Im z) away from one near the spectrum; the short per-point history
-removes that slow contraction with the same matrix products, so no
-Newton rescue is needed.  The kernel has one caller, _solve_block,
-which density_scan calls on each block of points: it starts every
-point at m = -1/z, converges every point of the block (none is
-abandoned early), and is the one place that raises ConvergenceError.
+removes that slow contraction with the same matrix products.  The
+kernel has one caller, _solve_block, which density_scan calls on each
+block of points: it starts every point at m = -1/z, converges every
+point of the block (none is abandoned early), and is the one place
+that raises ConvergenceError.
 The support scan reads its densities from density_scan, so both scans
 converge to the one tolerance _TOL within the one budget _MAX_SWEEPS.
 
@@ -46,6 +46,9 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError, NumericError
 from .linalg import VarianceMatrix, inf_norm
+
+__all__ = ["SupportEstimate", "density", "density_scan", "estimate_support",
+           "moment_recursion", "support_from_moments"]
 
 # Points iterated together by the block kernel, and the Anderson history
 # kept per point.  Both set the kernel's working memory, about
@@ -88,13 +91,13 @@ def _anderson(entries, zb, m, tol, cap):
     """Anderson-accelerated fixed-point iteration of m -> -1/(z + S m).
 
     Iterates the rows of ``m`` in place, row j at the shift ``zb[j]``,
-    for at most ``cap`` sweeps, and returns ``(sweeps, res, active)``:
-    the sweeps run, every row's latest update norm ``max_x |g_x - m_x|``
-    with ``g = -1/(z + S m)``, and the mask of rows left unconverged.  A
-    row stops once its update norm is at most tol, holding the iterate
-    whose defect that norm is.  The kernel returns at once when an
-    update norm or the Anderson Gram matrix is not finite, leaving the
-    running rows unconverged.
+    for at most ``cap`` sweeps, and returns ``(sweeps, res)``: the sweeps
+    run and every row's latest update norm ``max_x |g_x - m_x|`` with
+    ``g = -1/(z + S m)``.  A row stops exactly when its update norm is
+    at most tol, holding the iterate whose defect that norm is, so the
+    rows left unconverged are those with ``not res <= tol``.  The kernel
+    returns at once when an update norm or the Anderson Gram matrix is
+    not finite, leaving the running rows unconverged.
 
     Every other row moves to ``g - dG gamma``, where dF and dG hold the
     last _DEPTH differences of the updates ``f = g - m`` and of g, and
@@ -110,7 +113,6 @@ def _anderson(entries, zb, m, tol, cap):
     with ``entries``.
     """
     b, n = m.shape
-    active = np.ones(b, dtype=bool)
     res = np.full(b, np.inf)
     idx = np.arange(b)
     cur = m
@@ -127,13 +129,12 @@ def _anderson(entries, zb, m, tol, cap):
         done = r <= tol
         if done.any():
             m[idx[done]] = cur[done]
-            active[idx[done]] = False
             go = ~done
             idx, cur, g, f = idx[go], cur[go], g[go], f[go]
             hist_f, hist_g = hist_f[go], hist_g[go]
             f_prev, g_prev = f_prev[go], g_prev[go]
             if not len(idx):
-                return sweep, res, active
+                return sweep, res
         if not np.isfinite(r).all():
             break
         if sweep > 1:
@@ -153,7 +154,7 @@ def _anderson(entries, zb, m, tol, cap):
         hist_g[plain] = 0.0
         f_prev, g_prev = f, g
     m[idx] = cur
-    return sweep, res, active
+    return sweep, res
 
 
 def _edge_ceiling(entries, hi):
@@ -202,7 +203,8 @@ def _solve_block(entries, zb, tol, cap):
     is not finite, or else the first point left unconverged.
     """
     m = np.repeat((-1.0 / zb)[:, None], entries.shape[0], axis=1)
-    sweeps, res, active = _anderson(entries, zb, m, tol, cap)
+    sweeps, res = _anderson(entries, zb, m, tol, cap)
+    active = ~(res <= tol)
     if active.any():
         bad = active & ~np.isfinite(res)
         j = np.flatnonzero(bad if bad.any() else active)[0]

@@ -27,19 +27,34 @@ TEST_ONLY_NAMES = sorted(
     if not n.startswith("_") and getattr(obj, "__module__", None) == m.__name__)
 
 
+# the package's public names that are not modules
+PUBLIC = {n: obj for n, obj in vars(specbound).items()
+          if not n.startswith("_") and not inspect.ismodule(obj)}
+
+
 @pytest.mark.parametrize("name", LIBRARY_MODULES)
 def test_module_exports_match_the_package(name):
+    # __all__ is the module's one export list: it names only the module's
+    # own objects, every public class and function defined there among
+    # them, and the package re-exports each of them as is
     mod = importlib.import_module(f"specbound.{name}")
-    top = {n: obj for n, obj in vars(specbound).items()
-           if not n.startswith("_") and not inspect.ismodule(obj)}
-    from_here = {n for n, obj in top.items()
-                 if getattr(obj, "__module__", None) == mod.__name__}
     defined = {n for n, obj in vars(mod).items()
                if not n.startswith("_")
                and getattr(obj, "__module__", None) == mod.__name__}
-    assert set(getattr(mod, "__all__", defined)) == from_here
-    for n in from_here:
-        assert top[n] is getattr(mod, n)
+    assert defined <= set(mod.__all__)
+    for n in mod.__all__:
+        obj = getattr(mod, n)
+        assert getattr(obj, "__module__", mod.__name__) == mod.__name__, n
+        assert PUBLIC[n] is obj, n
+
+
+def test_package_exports_the_union_of_the_module_lists():
+    lists = [importlib.import_module(f"specbound.{m}").__all__
+             for m in LIBRARY_MODULES]
+    names = [n for names in lists for n in names]
+    assert len(names) == len(set(names))
+    assert set(PUBLIC) == set(names)
+    assert "ENSEMBLES" in PUBLIC
 
 
 def test_package_ships_the_runtime_modules_and_four_subcommands():

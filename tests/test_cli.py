@@ -244,11 +244,22 @@ def test_report_constant_profile_ordering(capsys):
     assert "moment proxy" in err and "trivial bound" in err
 
 
-def test_report_gram_source_carries_note(tmp_path, capsys):
+# the flags each subcommand needs besides the source, kept small
+GRAM_RUN_FLAGS = {
+    "bound": [],
+    "qve": [],
+    "mc": ["--trials", "2"],
+    "report": ["--trials", "2", "--kmax", "20"],
+}
+
+
+@pytest.mark.parametrize("command", GRAM_RUN_FLAGS)
+def test_gram_source_carries_note(tmp_path, capsys, command):
+    # every subcommand reports the largest singular value of a gram: source
     f = tmp_path / "rect.txt"
     write_plain(f, [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]])
-    code, payload, err = invoke(capsys, "report", "--profile", f"gram:{f}",
-                                "--trials", "2", "--kmax", "20")
+    code, payload, err = invoke(capsys, command, "--profile", f"gram:{f}",
+                                *GRAM_RUN_FLAGS[command])
     assert code == 0
     assert "singular value" in payload["note"]
     assert "note:" in err

@@ -129,6 +129,15 @@ def test_norm_sequence_type_invariants():
         NormSequence(norm_s=1.0, z=np.array([1.0, 1.5]))
 
 
+def test_norm_sequence_leaves_the_callers_array_writeable():
+    z = np.array([1.0, 0.5, 0.25])
+    ns = NormSequence(norm_s=1.0, z=z)
+    assert z.flags.writeable
+    assert not ns.z.flags.writeable
+    z[1] = 0.75
+    assert ns.z[1] == 0.5
+
+
 # --------------------------------------------------------- gram_linearize
 
 def test_gram_linearize_1x1():
