@@ -14,10 +14,11 @@ behind a manifest. This module alone lays out that JSON: ``bound``,
 declaration order, as ``dataclasses.asdict`` gives them, and ``report``
 lays out its own. A ``gram:`` source adds a note in every subcommand,
 since each then reports the largest singular value. CSV is emitted only
-for density scans. Exit codes: 0 on success, 2 for input problems, 3
-for numeric failures. The environment variable SPECBOUND_THREADS caps
-the threads used by the underlying linear algebra when it is set before
-the first import.
+for density scans. Exit codes: 0 on success, 2 for input problems (an
+input whose arrays cannot be allocated among them), 3 for numeric
+failures. The environment variable SPECBOUND_THREADS caps the threads
+used by the underlying linear algebra when it is set before the first
+import.
 """
 
 from __future__ import annotations
@@ -234,7 +235,9 @@ def run(argv=None) -> int:
         # the bound's z, is written as a list
         print(json.dumps(payload, indent=2, default=np.ndarray.tolist))
         return 0
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, MemoryError) as exc:
+        # a MemoryError is an input asking for an array that cannot be
+        # allocated, such as a profile size or grid past the memory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -9,6 +9,13 @@ results are identical no matter how trials are scheduled; aggregation
 sorts by trial index. The largest absolute eigenvalue comes from
 LAPACK's symmetric/hermitian eigensolver (``numpy.linalg.eigvalsh``):
 it is exact to roundoff and has no tolerance or iteration cap to tune.
+
+The eigensolver reads only the lower triangle of its input, so an
+experiment takes the entry scales sqrt(S) once and hands each draw to
+it as drawn (_draw), without mirroring it into a full matrix or
+checking its symmetry: the draw's lower triangle is the sample's bit
+for bit, so every trial's value equals
+``spectral_radius(sample_matrix(...))`` for the same stream exactly.
 """
 
 from __future__ import annotations
@@ -80,6 +87,32 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
                                                         spawn_key=(trial,)))
 
 
+def _draw(sigma, ensemble, rng):
+    """One sample's lower triangle, diagonal included, bit for bit.
+
+    Makes sample_matrix's RNG calls, scales them by the entry scales
+    ``sigma``, and returns an array whose lower triangle is the
+    sample's; its strict upper triangle holds values no caller reads.
+    The entries are formed where the sample's upper triangle lies,
+    conjugated in the complex case, and returned as a transposed view.
+    Every zero is made +0.0, as the sums that mirror a sample make it,
+    so the lower triangle equals the sample's in every bit.
+    """
+    if ensemble == "real-symmetric":
+        h = rng.standard_normal(sigma.shape)
+        h *= sigma
+    else:
+        gr = rng.standard_normal(sigma.shape)
+        h = 1j * rng.standard_normal(sigma.shape)
+        h += gr
+        h *= sigma
+        h /= math.sqrt(2)
+        np.conjugate(h, out=h)
+        np.fill_diagonal(h, np.diag(sigma) * np.diag(gr))
+    h += 0.0
+    return h.T
+
+
 def sample_matrix(s: VarianceMatrix, ensemble: str,
                   rng: np.random.Generator) -> np.ndarray:
     """One centered Gaussian sample with E |H_xy|^2 = S_xy.
@@ -90,15 +123,13 @@ def sample_matrix(s: VarianceMatrix, ensemble: str,
     """
     if ensemble not in ENSEMBLES:
         raise InputError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
-    sigma = np.sqrt(s.entries)
-    if ensemble == "real-symmetric":
-        upper = np.triu(sigma * rng.standard_normal((s.n, s.n)))
-        return upper + np.triu(upper, 1).T
-    gr = rng.standard_normal((s.n, s.n))
-    gi = rng.standard_normal((s.n, s.n))
-    upper = np.triu(sigma * (gr + 1j * gi) / math.sqrt(2), 1)
-    diag = np.diag(np.diag(sigma) * np.diag(gr))
-    return upper + upper.conj().T + diag
+    low = _draw(np.sqrt(s.entries), ensemble, rng)
+    return np.tril(low) + np.tril(low, -1).conj().T
+
+
+def _radius(h) -> float:
+    # eigvalsh reads only the lower triangle of h
+    return float(np.abs(np.linalg.eigvalsh(h)).max(initial=0.0))
 
 
 def spectral_radius(h) -> float:
@@ -112,7 +143,7 @@ def spectral_radius(h) -> float:
         raise InputError(f"need a square matrix, got shape {h.shape}")
     if not np.array_equal(h, h.conj().T):
         raise InputError("matrix is not symmetric/hermitian")
-    return float(np.abs(np.linalg.eigvalsh(h)).max(initial=0.0))
+    return _radius(h)
 
 
 def mc_experiment(s: VarianceMatrix, cfg: McConfig) -> McResult:
@@ -124,13 +155,14 @@ def mc_experiment(s: VarianceMatrix, cfg: McConfig) -> McResult:
     failures.
     """
     start = time.perf_counter()
+    sigma = np.sqrt(s.entries)
     values = []
     failures = 0
     for trial in range(cfg.trials):
         rng = trial_rng(cfg.seed, trial)
-        h = sample_matrix(s, cfg.ensemble, rng)
+        # no draw outlives its trial, so two are never held at once
         try:
-            values.append(spectral_radius(h))
+            values.append(_radius(_draw(sigma, cfg.ensemble, rng)))
         except np.linalg.LinAlgError:
             failures += 1
     mean = statistics.fmean(values) if values else 0.0

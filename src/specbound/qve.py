@@ -34,7 +34,11 @@ ceiling: if the density there is at most the threshold, so is the
 density at every point above it, and skipping them is exact.  If it
 exceeds the threshold, the points above it, up to the reach of the
 ceiling's Cauchy bound, are scanned too, and that point is the answer
-when none of them exceeds the threshold.
+when none of them exceeds the threshold.  Since the edge mostly lies a
+few grid points below the start, each scan converges its points in
+blocks that grow from 4 points to _BLOCK (see _first_above), which never
+converges more points than full blocks would.  density_scan itself,
+and with it the CSV scan, still iterates full blocks of _BLOCK points.
 """
 
 from __future__ import annotations
@@ -247,17 +251,25 @@ def _first_above(s, taus_desc, eta, threshold):
     """First point of the descending grid ``taus_desc`` whose smoothed
     density exceeds the threshold, or None.
 
-    The densities come from density_scan, one block of _BLOCK points at
-    a time, each point cold-started, and the scan stops at the first
-    block holding such a point.  Warm starts from the block above would
-    save sweeps only on blocks after the first, and a scan that starts
-    at the edge ceiling seldom reaches a second block.
+    The densities come from density_scan, one block at a time, each
+    point cold-started, and the scan stops at the first block holding
+    such a point.  The blocks hold 4, 8 and 16 points, then 4 more to
+    reach _BLOCK, then _BLOCK each: every block doubles the points
+    scanned so far, plus 4, but ends no later than the next multiple of
+    _BLOCK.  A scan from the edge ceiling mostly meets its answer within
+    a few points, where a 4-point block costs a fraction of a full one,
+    and no scan converges more points than one in blocks of _BLOCK.
+    Warm starts from the block above would save sweeps only on later
+    blocks, which such a scan seldom reaches.
     """
-    for start in range(0, len(taus_desc), _BLOCK):
-        tb = taus_desc[start:start + _BLOCK]
+    start = 0
+    while start < len(taus_desc):
+        stop = min(2 * start + 4, (start // _BLOCK + 1) * _BLOCK)
+        tb = taus_desc[start:stop]
         exceed = np.flatnonzero(density_scan(s, tb, eta) > threshold)
         if len(exceed):
             return float(tb[exceed[0]])
+        start = stop
     return None
 
 

@@ -2,10 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from specbound.cli import build_parser, run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXP500_TRIVIAL = 4.3159157401465924
 EXP500_IMPROVED = 4.0022959868671108
@@ -397,6 +400,36 @@ def test_mc_rerun_reproduces_trials(capsys):
     _, a, _ = invoke(capsys, *argv)
     _, b, _ = invoke(capsys, *argv)
     assert a["per_trial"] == b["per_trial"]
+
+
+# An address-space cap set in a fresh interpreter, before numpy loads:
+# each request then fails at allocation on any host, whatever its
+# overcommit policy, and no page of the array is ever touched.
+CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+from specbound.cli import run
+sys.exit(run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["qve", "--profile", "wigner", "--n", "4", "--csv", "t.csv",
+      "--csv-step", "1e-13"], "218. TiB"),
+    (["qve", "--profile", "wigner", "--n", "4", "--grid-step", "1e-13"], "159. TiB"),
+    (["bound", "--profile", "wigner", "--n", "3000000"], "65.5 TiB"),
+    (["bound", "--profile", "wigner", "--n", "4", "--j", "100000000000"], "745. GiB"),
+], ids=["csv-step", "grid-step", "n", "j"])
+def test_unallocatable_input_is_an_input_error(tmp_path, argv, size):
+    env = dict(os.environ, SPECBOUND_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", CAPPED, *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: Unable to allocate {size}")
+    assert "Traceback" not in proc.stderr
 
 
 # -------------------------------------------------------------- entry points

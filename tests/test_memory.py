@@ -1,10 +1,13 @@
-"""Peak-memory guard for the large-N moment path.
+"""Peak-memory guards for the large-N moment path and the MC sampler.
 
 A profile is one n-by-n float64 array (8 n^2 bytes): the generator
 builds it in place and VarianceMatrix adopts it without a copy, and the
-norm sequence and moment recursion add only O(J n + kmax n). The child
-interpreter measures its own peak resident set, so the numbers are not
-blurred by what the test session has allocated before.
+norm sequence and moment recursion add only O(J n + kmax n). An MC
+experiment holds the entry scales sqrt(S), one profile, and in each
+trial one draw and the eigensolver's copy of it, one profile each in
+the real-symmetric ensemble and two in the complex-hermitian one. Each
+child interpreter measures its own peak resident set, so the numbers
+are not blurred by what the test session has allocated before.
 """
 
 import json
@@ -12,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -33,13 +38,46 @@ print(json.dumps({"base": base, "peak": peak_bytes()}))
 """
 
 
-def test_large_profile_bound_and_moments_peak_below_two_profiles():
-    n = 2000
+# The path is run once on a 2-by-2 profile before the baseline is taken:
+# the lazy import of numpy.random alone adds about 6 MB, which no
+# profile size changes.
+MC_CHILD = """
+import json, resource, sys
+from specbound.linalg import exp_profile
+from specbound.montecarlo import McConfig, mc_experiment
+
+def peak_bytes():
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss if sys.platform == "darwin" else rss * 1024
+
+cfg = McConfig(trials=2, seed=1, ensemble=sys.argv[1])
+mc_experiment(exp_profile(2), cfg)
+base = peak_bytes()
+s = exp_profile(1000)
+mc_experiment(s, cfg)
+print(json.dumps({"base": base, "peak": peak_bytes()}))
+"""
+
+
+def peak_growth(child, n, *argv):
+    """Peak resident growth of a fresh interpreter running ``child``, in
+    profiles of 8 n^2 bytes."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", CHILD], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
     rss = json.loads(out.stdout)
-    growth = (rss["peak"] - rss["base"]) / (8 * n * n)
+    return (rss["peak"] - rss["base"]) / (8 * n * n)
+
+
+def test_large_profile_bound_and_moments_peak_below_two_profiles():
+    growth = peak_growth(CHILD, 2000)
     assert growth < 2.0, f"peak grew by {growth:.2f} profiles of 8 n^2 bytes"
+
+
+@pytest.mark.parametrize("ensemble,limit", [
+    ("real-symmetric", 4.5), ("complex-hermitian", 10.0)])
+def test_mc_experiment_peak(ensemble, limit):
+    growth = peak_growth(MC_CHILD, 1000, ensemble)
+    assert growth < limit, f"peak grew by {growth:.2f} profiles of 8 n^2 bytes"

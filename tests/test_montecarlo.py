@@ -9,7 +9,13 @@ import pytest
 from _jacobi import jacobi_eigenvalues, jacobi_spectral_radius
 from specbound.bounds import support_bound
 from specbound.errors import InputError
-from specbound.linalg import VarianceMatrix, exp_profile, wigner_profile
+from specbound.linalg import (
+    VarianceMatrix,
+    exp_profile,
+    gram_linearize,
+    random_profile,
+    wigner_profile,
+)
 from specbound.montecarlo import (
     McConfig,
     mc_experiment,
@@ -65,6 +71,51 @@ def test_samples_are_exactly_symmetric():
     g = sample_matrix(s, "complex-hermitian", trial_rng(0, 0))
     assert np.array_equal(g, g.conj().T)
     assert np.all(g.imag.diagonal() == 0)
+
+
+def two_triangle_sample(s, ensemble, rng):
+    """Reference sampler: the upper triangle drawn, the lower mirrored."""
+    sigma = np.sqrt(s.entries)
+    if ensemble == "real-symmetric":
+        upper = np.triu(sigma * rng.standard_normal((s.n, s.n)))
+        return upper + np.triu(upper, 1).T
+    gr = rng.standard_normal((s.n, s.n))
+    gi = rng.standard_normal((s.n, s.n))
+    upper = np.triu(sigma * (gr + 1j * gi) / math.sqrt(2), 1)
+    return upper + upper.conj().T + np.diag(np.diag(sigma) * np.diag(gr))
+
+
+# zero diagonal blocks and a zero profile put signed zeros in the draws
+MC_PROFILES = {
+    "exp40": exp_profile(40),
+    "random33": random_profile(33, 5),
+    "gram12x20": gram_linearize(np.random.default_rng(2).random((12, 20)) / 20),
+    "n1": VarianceMatrix(np.array([[0.7]])),
+    "zero5": VarianceMatrix(np.zeros((5, 5))),
+}
+
+
+@pytest.mark.parametrize("ensemble", ["real-symmetric", "complex-hermitian"])
+@pytest.mark.parametrize("name", MC_PROFILES)
+def test_sample_matrix_equals_the_two_triangle_reference(name, ensemble):
+    s = MC_PROFILES[name]
+    for trial in range(3):
+        got = sample_matrix(s, ensemble, trial_rng(8, trial))
+        want = two_triangle_sample(s, ensemble, trial_rng(8, trial))
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ensemble", ["real-symmetric", "complex-hermitian"])
+@pytest.mark.parametrize("name", MC_PROFILES)
+def test_experiment_equals_radii_of_public_samples(name, ensemble):
+    # the experiment's own draw path gives the public path's values bit
+    # for bit
+    s = MC_PROFILES[name]
+    res = mc_experiment(s, McConfig(trials=4, seed=13, ensemble=ensemble))
+    assert res.per_trial == tuple(
+        spectral_radius(sample_matrix(s, ensemble, trial_rng(13, trial)))
+        for trial in range(4))
 
 
 def test_unknown_ensemble_rejected():

@@ -416,7 +416,7 @@ def scan_start(s, step=1e-3):
 def test_support_scan_starts_at_the_ceiling(monkeypatch, s):
     # work guard: the density at the first grid point above the ceiling
     # is below the threshold, so nothing above it is scanned, and the
-    # edge lies in the first block below it
+    # blocks grow from 4 points until the edge is met
     scanned = []
 
     def recording(s, taus, eta):
@@ -425,9 +425,26 @@ def test_support_scan_starts_at_the_ceiling(monkeypatch, s):
 
     monkeypatch.setattr(qve, "density_scan", recording)
     est = estimate_support(s)
-    assert len(scanned) == 1
     assert scanned[0].max() == scan_start(s)
+    assert max(taus.max() for taus in scanned) == scan_start(s)
+    assert [len(taus) for taus in scanned] == [4, 8, 16, 4, 32][:len(scanned)]
     assert est == estimate_support_loop(s)
+
+
+def test_support_scan_blocks_end_on_every_multiple_of_the_full_block(monkeypatch):
+    # the blocks hold 4, 8, 16 and 4 points, then _BLOCK each: each
+    # multiple of _BLOCK ends a block, so a scan that meets its edge at
+    # any depth converges no more points than one in blocks of _BLOCK
+    sizes = []
+
+    def below_threshold(s, taus, eta):
+        sizes.append(len(taus))
+        return np.zeros(len(taus))
+
+    monkeypatch.setattr(qve, "density_scan", below_threshold)
+    assert qve._first_above(None, np.arange(100.0)[::-1], 1e-3, 1e-2) is None
+    assert qve._BLOCK == 32
+    assert sizes == [4, 8, 16, 4, 32, 32, 4]
 
 
 @pytest.mark.parametrize("s", SCAN_PROFILES, ids=SCAN_IDS)
