@@ -28,17 +28,16 @@ than from the row-sum bound: max_x (1/u_x + (S u)_x) at any computed
 u > 0 bounds the edge from above (Ajanki, Erdos and Kruger, "Quadratic
 vector equations on the complex upper half-plane", cited as [AEK]),
 and each m_x is the Stieltjes transform of a measure with no mass above
-the edge, so the smoothed density falls as tau rises above the edge.
-The scan therefore starts at the lowest grid point at or above the
-ceiling: if the density there is at most the threshold, so is the
-density at every point above it, and skipping them is exact.  If it
-exceeds the threshold, the points above it, up to the reach of the
-ceiling's Cauchy bound, are scanned too, and that point is the answer
-when none of them exceeds the threshold.  Since the edge mostly lies a
-few grid points below the start, each scan converges its points in
-blocks that grow from 4 points to _BLOCK (see _first_above), which never
-converges more points than full blocks would.  density_scan itself,
-and with it the CSV scan, still iterates full blocks of _BLOCK points.
+the edge, so the smoothed density falls as tau rises above the ceiling.
+That is the scan's one premise.  It walks from the lowest grid point at
+or above the ceiling: down to the first point whose density exceeds the
+threshold when the density there is at most the threshold, and
+otherwise up to the last point before the density falls to the
+threshold.  The answer mostly lies a few grid points from the start,
+so each walk converges its points in blocks that grow from 4 points to
+_BLOCK (see _first_past), which never converges more points than full
+blocks would.  density_scan itself, and with it the CSV scan, still
+iterates full blocks of _BLOCK points.
 """
 
 from __future__ import annotations
@@ -247,30 +246,31 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     return out
 
 
-def _first_above(s, taus_desc, eta, threshold):
-    """First point of the descending grid ``taus_desc`` whose smoothed
-    density exceeds the threshold, or None.
+def _first_past(s, taus, eta, threshold, above):
+    """Index of the first point of ``taus`` whose smoothed density
+    exceeds the threshold (``above`` true) or is at most it (``above``
+    false), or len(taus) if there is none.
 
     The densities come from density_scan, one block at a time, each
-    point cold-started, and the scan stops at the first block holding
+    point cold-started, and the walk stops at the first block holding
     such a point.  The blocks hold 4, 8 and 16 points, then 4 more to
     reach _BLOCK, then _BLOCK each: every block doubles the points
-    scanned so far, plus 4, but ends no later than the next multiple of
-    _BLOCK.  A scan from the edge ceiling mostly meets its answer within
+    walked so far, plus 4, but ends no later than the next multiple of
+    _BLOCK.  A walk from the edge ceiling mostly meets its answer within
     a few points, where a 4-point block costs a fraction of a full one,
-    and no scan converges more points than one in blocks of _BLOCK.
-    Warm starts from the block above would save sweeps only on later
-    blocks, which such a scan seldom reaches.
+    and no walk converges more points than one in blocks of _BLOCK.
+    Warm starts from the previous block would save sweeps only on later
+    blocks, which such a walk seldom reaches.
     """
     start = 0
-    while start < len(taus_desc):
+    while start < len(taus):
         stop = min(2 * start + 4, (start // _BLOCK + 1) * _BLOCK)
-        tb = taus_desc[start:stop]
-        exceed = np.flatnonzero(density_scan(s, tb, eta) > threshold)
-        if len(exceed):
-            return float(tb[exceed[0]])
+        exceed = density_scan(s, taus[start:stop], eta) > threshold
+        past = np.flatnonzero(exceed == above)
+        if len(past):
+            return start + int(past[0])
         start = stop
-    return None
+    return len(taus)
 
 
 def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
@@ -279,24 +279,24 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     """Locate the largest grid point where the smoothed density exceeds
     the threshold.
 
-    The grid runs from 0 to one past the row-sum bound B = 2 sqrt(|S|).
+    The grid runs from 0 to one past the row-sum bound B = 2 sqrt(|S|);
+    InputError is raised when it holds more points than an array can.
     Every m_x is the Stieltjes transform of a probability measure on
     [-E, E], where E is the top of the spectrum, so each
     Im m_x(tau + i eta) = int eta / ((tau - l)^2 + eta^2) dmu_x(l)
-    falls as tau rises above E, and there the density is at most
-    eta / (pi ((tau - E)^2 + eta^2)).  E is replaced by the certified
-    ceiling C of _edge_ceiling, a value of max_x (1/u_x + (S u)_x) at a
-    computed u > 0, which is at least E and at most B.  Points above the
-    reach of that bound cannot exceed the threshold.
+    falls strictly as tau rises above E, and so does the density.  E is
+    replaced by the certified ceiling C of _edge_ceiling, a value of
+    max_x (1/u_x + (S u)_x) at a computed u > 0, which is at least E
+    and at most B, so the density falls strictly on [C, inf).
 
-    The scan starts at g0, the lowest grid point at or above C (or the
-    highest below the reach, if that is lower), and runs top down (see
-    _first_above).  If the density at g0 is at most the threshold, no
-    point above g0 exceeds it either, since g0 >= C >= E, so the scan's
-    answer is final.  Otherwise the points above g0, up to the highest
-    one below the reach, are scanned top down the same way, and g0 is
-    the answer if none of them exceeds the threshold.  Every density
-    comes from density_scan, so a block left unconverged raises its
+    The scan starts at g0, the lowest grid point at or above C, and
+    walks from there (see _first_past).  If the density at g0 is at
+    most the threshold, so is the density at every point above it, and
+    the walk goes down to the first point whose density exceeds the
+    threshold.  Otherwise it goes up, and the answer is the point just
+    below the first one whose density is at most the threshold, or the
+    last grid point if there is none.  Every density comes from
+    density_scan, so a block left unconverged raises its
     ConvergenceError naming the first such point.
     The zero profile has no spectrum to detect (its density is a spike
     at the origin that the smoothing would smear past the threshold), so
@@ -308,22 +308,21 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
         return SupportEstimate(0.0, False, eta, grid_step, threshold, 0.0)
     bound = 2.0 * math.sqrt(norm)
     grid_top = bound + 1.0
-    n_pts = int(math.floor(grid_top / grid_step)) + 1
-    edge = _edge_ceiling(s.entries, bound)
-    reach = edge + math.sqrt(max(eta / (math.pi * threshold) - eta * eta, 0.0))
-    top = min(n_pts - 1, int(math.floor(reach / grid_step)))
-    g0 = min(top, math.ceil(edge / grid_step))
-    taus = np.arange(top + 1, dtype=float) * grid_step
-    hit = _first_above(s, taus[g0::-1], eta, threshold)
-    if hit == taus[g0]:
-        # the density exceeds the threshold at g0, so nothing rules out
-        # the points above it
-        above = _first_above(s, taus[:g0:-1], eta, threshold)
-        if above is not None:
-            hit = above
-    if hit is None:
+    last = grid_top / grid_step
+    # a float64 array of n_pts points must fit the address space
+    if not last < np.iinfo(np.intp).max // 8:
+        raise InputError(f"a scan grid of {last + 1:.4g} points is too large")
+    n_pts = int(math.floor(last)) + 1
+    g0 = min(n_pts - 1, math.ceil(_edge_ceiling(s.entries, bound) / grid_step))
+    taus = np.arange(n_pts, dtype=float) * grid_step
+    g = g0 - _first_past(s, taus[g0::-1], eta, threshold, True)
+    if g == g0:
+        # the density at g0 exceeds the threshold, so the answer is at
+        # or above it
+        g += _first_past(s, taus[g0 + 1:], eta, threshold, False)
+    if g < 0:
         return SupportEstimate(0.0, False, eta, grid_step, threshold, grid_top)
-    return SupportEstimate(hit, True, eta, grid_step, threshold, grid_top)
+    return SupportEstimate(float(taus[g]), True, eta, grid_step, threshold, grid_top)
 
 
 def moment_recursion(s: VarianceMatrix, kmax: int) -> np.ndarray:

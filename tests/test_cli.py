@@ -302,6 +302,20 @@ def test_row_sum_overflow_is_a_numeric_failure(tmp_path, capsys, command):
     assert "numeric failure: max row sum |S| overflows" in err
 
 
+@pytest.mark.parametrize("value", [2e29, 1e306])
+def test_unbuildable_scan_grid_is_an_input_error(tmp_path, capsys, value):
+    # |S| is finite, but the scan grid from 0 to 2 sqrt(|S|) + 1 at the
+    # default step holds more points than an array can
+    f = tmp_path / "big.txt"
+    write_plain(f, [[value, value], [value, value]])
+    code, payload, err = invoke(capsys, "qve", "--profile", str(f))
+    assert code == 2
+    assert payload is None
+    assert err.startswith("error: a scan grid of ")
+    assert "points is too large" in err
+    assert "Traceback" not in err
+
+
 def test_report_shares_flag_groups_with_qve_and_mc(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["report", "--help"])
@@ -416,7 +430,7 @@ sys.exit(run(sys.argv[1:]))
 @pytest.mark.parametrize("argv,size", [
     (["qve", "--profile", "wigner", "--n", "4", "--csv", "t.csv",
       "--csv-step", "1e-13"], "218. TiB"),
-    (["qve", "--profile", "wigner", "--n", "4", "--grid-step", "1e-13"], "159. TiB"),
+    (["qve", "--profile", "wigner", "--n", "4", "--grid-step", "1e-13"], "218. TiB"),
     (["bound", "--profile", "wigner", "--n", "3000000"], "65.5 TiB"),
     (["bound", "--profile", "wigner", "--n", "4", "--j", "100000000000"], "745. GiB"),
 ], ids=["csv-step", "grid-step", "n", "j"])

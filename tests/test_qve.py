@@ -378,7 +378,7 @@ SCAN_IDS = ["wigner50", "exp100"] + [f"random60-{k}" for k in range(5)] + [
 
 
 # threshold 1e-3 puts the density at the scan's start above the threshold
-# on most profiles, so the scan must also search the points above it
+# on most profiles, so the scan must walk up from it
 @pytest.mark.parametrize("grid_step,threshold", [
     (1e-3, 1e-2), (1e-2, 1e-2), (1e-3, 1e-3)],
     ids=["0.001", "0.01", "0.001-threshold0.001"])
@@ -386,23 +386,6 @@ SCAN_IDS = ["wigner50", "exp100"] + [f"random60-{k}" for k in range(5)] + [
 def test_support_estimate_equals_plain_iteration_scan(s, grid_step, threshold):
     assert estimate_support(s, grid_step=grid_step, threshold=threshold) == (
         estimate_support_loop(s, grid_step=grid_step, threshold=threshold))
-
-
-@pytest.mark.parametrize("bound", ["row-sum", "ceiling"])
-@pytest.mark.parametrize("s", SCAN_PROFILES, ids=SCAN_IDS)
-def test_support_scan_skips_only_points_below_the_threshold(s, bound):
-    # the Cauchy bound eta / (pi ((tau - E)^2 + eta^2)) on the density
-    # above the edge E holds with E replaced by any bound on it, the
-    # row-sum bound B = 2 sqrt(|S|) or the certified ceiling C, so it
-    # falls below the threshold past E + sqrt(eta / (pi threshold) - eta^2);
-    # the first grid point past that reach must be below threshold
-    eta, step, threshold = 1e-3, 1e-3, 1e-2
-    est = estimate_support(s)
-    edge = 2 * math.sqrt(inf_norm(s)) if bound == "row-sum" else ceiling(s)
-    reach = edge + math.sqrt(eta / (math.pi * threshold) - eta**2)
-    first_skipped = (math.floor(reach / step) + 1) * step
-    assert first_skipped < est.grid_top
-    assert density(s, first_skipped, eta=eta) < threshold
 
 
 def scan_start(s, step=1e-3):
@@ -432,31 +415,72 @@ def test_support_scan_starts_at_the_ceiling(monkeypatch, s):
 
 
 def test_support_scan_blocks_end_on_every_multiple_of_the_full_block(monkeypatch):
-    # the blocks hold 4, 8, 16 and 4 points, then _BLOCK each: each
-    # multiple of _BLOCK ends a block, so a scan that meets its edge at
-    # any depth converges no more points than one in blocks of _BLOCK
-    sizes = []
-
-    def below_threshold(s, taus, eta):
-        sizes.append(len(taus))
-        return np.zeros(len(taus))
-
-    monkeypatch.setattr(qve, "density_scan", below_threshold)
-    assert qve._first_above(None, np.arange(100.0)[::-1], 1e-3, 1e-2) is None
+    # the blocks hold 4, 8, 16 and 4 points, then _BLOCK each, in both
+    # walk directions: each multiple of _BLOCK ends a block, so a walk
+    # that meets its point at any depth converges no more points than
+    # one in blocks of _BLOCK
     assert qve._BLOCK == 32
-    assert sizes == [4, 8, 16, 4, 32, 32, 4]
+    for above in (True, False):
+        sizes = []
+
+        def never_past(s, taus, eta):
+            sizes.append(len(taus))
+            return np.full(len(taus), 0.0 if above else 1.0)
+
+        monkeypatch.setattr(qve, "density_scan", never_past)
+        assert qve._first_past(None, np.arange(100.0), 1e-3, 1e-2, above) == 100
+        assert sizes == [4, 8, 16, 4, 32, 32, 4], above
 
 
 @pytest.mark.parametrize("s", SCAN_PROFILES, ids=SCAN_IDS)
 def test_density_falls_from_the_ceiling_to_its_reach(s):
-    # the premise of the scan's start: above the ceiling C >= E the
-    # density is nonincreasing, so no grid point above the first one at
-    # or above C exceeds the threshold unless that one does
+    # the premise of both of the scan's walks: above the ceiling C >= E
+    # the density falls, so the walk down from the first grid point at
+    # or above C skips no point above the threshold, and the walk up
+    # stops at the first point at or below it; checked from C to the
+    # reach of the Cauchy bound eta / (pi ((tau - C)^2 + eta^2))
     eta, step, threshold = 1e-3, 1e-3, 1e-2
     reach = ceiling(s) + math.sqrt(eta / (math.pi * threshold) - eta**2)
     taus = np.arange(round(scan_start(s) / step), math.floor(reach / step) + 1) * step
     assert len(taus) > 100
     assert (np.diff(density_scan(s, taus, eta=eta)) <= 0).all()
+
+
+FALLBACK_CASES = [(SCAN_PROFILES[0], 1e-3), (SCAN_PROFILES[2], 1e-3),
+                  (SCAN_PROFILES[7], 1e-2)]
+
+
+@pytest.mark.parametrize("s,threshold", FALLBACK_CASES, ids=[
+    "wigner50-threshold0.001", "random60-0-threshold0.001", "gram20x60"])
+def test_support_scan_walks_up_from_the_ceiling(monkeypatch, s, threshold):
+    # work guard of the fallback: the density at the first grid point
+    # above the ceiling exceeds the threshold, so the scan walks up from
+    # there and converges no point more than one block above its answer
+    assert density(s, scan_start(s), eta=1e-3) > threshold
+    scanned = []
+
+    def recording(s, taus, eta):
+        scanned.append(np.array(taus))
+        return density_scan(s, taus, eta)
+
+    monkeypatch.setattr(qve, "density_scan", recording)
+    est = estimate_support(s, threshold=threshold)
+    step = est.grid_step
+    assert scanned[0].max() == scan_start(s)
+    highest = max(round(taus.max() / step) for taus in scanned)
+    assert highest <= round(est.value / step) + qve._BLOCK
+    assert est == estimate_support_loop(s, threshold=threshold)
+
+
+def test_support_estimate_rejects_a_grid_no_array_can_hold():
+    # 2 sqrt(|S|) / grid_step points is past what a float64 array can
+    # hold, so the grid is an input error before anything is allocated
+    for value in (2e29, 1e306):
+        with pytest.raises(InputError, match="points is too large"):
+            estimate_support(VarianceMatrix(np.full((2, 2), value)))
+    # a step so small that the point count overflows to inf
+    with pytest.raises(InputError, match="inf points is too large"):
+        estimate_support(wigner_profile(4), grid_step=1e-320)
 
 
 # ------------------------------------------------------------ edge ceiling
