@@ -52,6 +52,16 @@ def _tiles(n: int):
             yield slice(lo, lo + _TILE), slice(hi, hi + _TILE)
 
 
+def _check_int(name, value, minimum):
+    """Return ``value`` as an int if it is a Python or NumPy integer, not
+    a bool, of at least ``minimum`` (0 or 1); raise InputError otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        kind = "positive" if minimum else "nonnegative"
+        raise InputError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
 class VarianceMatrix:
     """Validated symmetric nonnegative matrix.
 
@@ -124,13 +134,13 @@ class NormSequence:
     def __post_init__(self):
         # a copy, so that the caller's array stays writeable
         z = np.array(self.z, dtype=float)
-        if self.norm_s <= 0:
-            raise InputError(f"norm must be positive, got {self.norm_s}")
+        if not 0.0 < self.norm_s < np.inf:
+            raise InputError(f"norm must be positive and finite, got {self.norm_s}")
         if z.ndim != 1 or len(z) == 0:
             raise InputError("z must be a nonempty vector")
         if z[0] != 1.0:
             raise InputError(f"z[0] must equal 1 exactly, got {z[0]!r}")
-        if np.any(z <= 0) or np.any(z > 1):
+        if not ((z > 0) & (z <= 1)).all():
             raise InputError("z values must lie in (0, 1]")
         z.setflags(write=False)
         object.__setattr__(self, "z", z)
@@ -168,8 +178,7 @@ def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
     z_j is nonincreasing, so the floor is an upper bound on every value
     it replaces and the bound computed from the sequence stays valid.
     """
-    if J < 1:
-        raise InputError(f"J must be at least 1, got {J}")
+    J = _check_int("J", J, 1)
     entries = s.entries
     u = np.ones(s.n)
     norm = inf_norm(s)
@@ -209,8 +218,7 @@ def gram_linearize(rect) -> VarianceMatrix:
 
 def wigner_profile(n: int) -> VarianceMatrix:
     """Constant profile with entries 1/n; every z_j equals 1."""
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
+    n = _check_int("n", n, 1)
     a = np.full((n, n), 1.0 / n)
     a.setflags(write=False)
     return VarianceMatrix(a)
@@ -218,8 +226,7 @@ def wigner_profile(n: int) -> VarianceMatrix:
 
 def exp_profile(n: int) -> VarianceMatrix:
     """Exponential profile S[i, j] = exp((i + j) / n) / n, zero-based."""
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
+    n = _check_int("n", n, 1)
     v = np.exp(np.arange(n) / n)
     a = np.outer(v, v)
     a /= n
@@ -234,10 +241,8 @@ def random_profile(n: int, seed: int) -> VarianceMatrix:
     are those of ``(a + a.T) / 2 * (1.0 / n)`` for the draw ``a``, bit
     for bit, computed in the draw's own array.
     """
-    if n < 1:
-        raise InputError(f"n must be positive, got {n}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
+    n = _check_int("n", n, 1)
+    seed = _check_int("seed", seed, 0)
     a = np.random.default_rng(seed).random((n, n))
     # a + a.T tile pair by tile pair; float addition commutes, so a tile
     # and its mirror receive the same sums

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import VarianceMatrix
+from .linalg import VarianceMatrix, _check_int
 
 __all__ = ["ENSEMBLES", "McConfig", "McResult", "mc_experiment",
            "sample_matrix", "spectral_radius", "trial_rng"]
@@ -46,13 +46,10 @@ class McConfig:
 
     def __post_init__(self):
         # NumPy integers are stored as int, so that results serialize
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, np.integer):
-                object.__setattr__(self, name, int(value))
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise InputError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        for name, minimum in (("trials", 1), ("seed", 0)):
+            value = _check_int(name, getattr(self, name), minimum)
+            object.__setattr__(self, name, value)
+        if not self.seed < 2**64:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if self.ensemble not in ENSEMBLES:
             raise InputError(

@@ -16,10 +16,10 @@ iteration of m -> -1/(z + S m) on a block of shifted points, iterated
 as matrix-matrix products.  Plain iteration contracts at a rate only
 O(Im z) away from one near the spectrum; the short per-point history
 removes that slow contraction with the same matrix products.  The
-kernel has one caller, _solve_block, which density_scan calls on each
-block of points: it starts every point at m = -1/z, converges every
-point of the block (none is abandoned early), and is the one place
-that raises ConvergenceError.
+kernel is one function, _solve_block, which density_scan calls on each
+block of points: it starts every point at m = -1/z, iterates until
+every point of the block has converged (none is abandoned early), and
+otherwise raises ConvergenceError; no other code raises it.
 The support scan reads its densities from density_scan, so both scans
 converge to the one tolerance _TOL within the one budget _MAX_SWEEPS.
 
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError, NumericError
-from .linalg import VarianceMatrix, inf_norm
+from .linalg import VarianceMatrix, _check_int, inf_norm
 
 __all__ = ["SupportEstimate", "density", "density_scan", "estimate_support",
            "moment_recursion", "support_from_moments"]
@@ -90,17 +90,15 @@ def _check_positive(**values):
             raise InputError(f"{name} must be positive and finite, got {value}")
 
 
-def _anderson(entries, zb, m, tol, cap):
-    """Anderson-accelerated fixed-point iteration of m -> -1/(z + S m).
+def _solve_block(entries, zb, tol, cap):
+    """Converge every point of ``zb`` within ``cap`` sweeps of
+    Anderson-accelerated fixed-point iteration of m -> -1/(z + S m),
+    each point from the cold start m = -1/z.
 
-    Iterates the rows of ``m`` in place, row j at the shift ``zb[j]``,
-    for at most ``cap`` sweeps, and returns ``(sweeps, res)``: the sweeps
-    run and every row's latest update norm ``max_x |g_x - m_x|`` with
+    Returns ``(m, sweeps, res)``: one row of m per point, the sweeps
+    run, and every row's last update norm ``max_x |g_x - m_x|`` with
     ``g = -1/(z + S m)``.  A row stops exactly when its update norm is
-    at most tol, holding the iterate whose defect that norm is, so the
-    rows left unconverged are those with ``not res <= tol``.  The kernel
-    returns at once when an update norm or the Anderson Gram matrix is
-    not finite, leaving the running rows unconverged.
+    at most tol, holding the iterate whose defect that norm is.
 
     Every other row moves to ``g - dG gamma``, where dF and dG hold the
     last _DEPTH differences of the updates ``f = g - m`` and of g, and
@@ -114,8 +112,14 @@ def _anderson(entries, zb, m, tol, cap):
     only on a sweep where a row stops.  S is symmetric, so the rows of
     S m are one real product of the stacked real and imaginary parts
     with ``entries``.
+
+    Raises ConvergenceError when rows are still running after ``cap``
+    sweeps, and at once when an update norm or the Anderson Gram matrix
+    is not finite.  It names the first running point whose update norm
+    is not finite, or else the first running point.
     """
-    b, n = m.shape
+    b, n = len(zb), entries.shape[0]
+    m = np.repeat((-1.0 / zb)[:, None], n, axis=1)
     res = np.full(b, np.inf)
     idx = np.arange(b)
     cur = m
@@ -137,7 +141,7 @@ def _anderson(entries, zb, m, tol, cap):
             hist_f, hist_g = hist_f[go], hist_g[go]
             f_prev, g_prev = f_prev[go], g_prev[go]
             if not len(idx):
-                return sweep, res
+                return m, sweep, res
         if not np.isfinite(r).all():
             break
         if sweep > 1:
@@ -156,8 +160,14 @@ def _anderson(entries, zb, m, tol, cap):
         hist_f[plain] = 0.0
         hist_g[plain] = 0.0
         f_prev, g_prev = f, g
-    m[idx] = cur
-    return sweep, res
+    bad = np.flatnonzero(~np.isfinite(res[idx]))
+    j = idx[bad[0] if len(bad) else 0]
+    raise ConvergenceError(
+        f"QVE stalled at tau = {zb[j].real:.6g} "
+        f"(eta = {zb[j].imag}, tol = {tol})",
+        residual=float(res[j]),
+        iterations=sweep,
+    )
 
 
 def _edge_ceiling(entries, hi):
@@ -197,29 +207,6 @@ def _edge_ceiling(entries, hi):
     return best
 
 
-def _solve_block(entries, zb, tol, cap):
-    """Converge every point of ``zb`` from the cold start m = -1/z (see
-    _anderson) within ``cap`` sweeps and return ``(m, sweeps, res)``,
-    with one row of m per point.
-
-    Raises ConvergenceError naming the first point whose update norm
-    is not finite, or else the first point left unconverged.
-    """
-    m = np.repeat((-1.0 / zb)[:, None], entries.shape[0], axis=1)
-    sweeps, res = _anderson(entries, zb, m, tol, cap)
-    active = ~(res <= tol)
-    if active.any():
-        bad = active & ~np.isfinite(res)
-        j = np.flatnonzero(bad if bad.any() else active)[0]
-        raise ConvergenceError(
-            f"QVE stalled at tau = {zb[j].real:.6g} "
-            f"(eta = {zb[j].imag}, tol = {tol})",
-            residual=float(res[j]),
-            iterations=sweeps,
-        )
-    return m, sweeps, res
-
-
 def density(s: VarianceMatrix, tau: float, eta: float) -> float:
     """Smoothed spectral density (1/(pi n)) sum_x Im m_x(tau + i eta)."""
     return float(density_scan(s, [tau], eta)[0])
@@ -228,11 +215,12 @@ def density(s: VarianceMatrix, tau: float, eta: float) -> float:
 def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     """Smoothed density at every point of ``taus``, as one array.
 
-    Blocks of _BLOCK points are iterated together by _solve_block, each
-    point from m = -1/z, to an update norm of _TOL within _MAX_SWEEPS
-    sweeps.  Raises InputError when a tau is not finite, and
-    ConvergenceError naming the first point of a block that is left
-    unconverged.
+    Each block of _BLOCK points is one call of the kernel _solve_block,
+    which starts every point at m = -1/z and converges it to an update
+    norm of _TOL within _MAX_SWEEPS sweeps.  Raises InputError when a
+    tau is not finite; a block left unconverged raises the kernel's
+    ConvergenceError, naming the first point whose update norm is not
+    finite, or else the first point still running.
     """
     _check_positive(eta=eta)
     taus = np.asarray(taus, dtype=float).ravel()
@@ -344,8 +332,7 @@ def moment_recursion(s: VarianceMatrix, kmax: int) -> np.ndarray:
     rescaling S by 1/a rescales c[x, k] by a^-k, so large profiles can
     be probed after scaling.
     """
-    if not isinstance(kmax, int) or kmax < 0:
-        raise InputError(f"kmax must be a nonnegative integer, got {kmax!r}")
+    kmax = _check_int("kmax", kmax, 0)
     entries, n = s.entries, s.n
     # One spare zero column: NumPy reduces over the outer axis row after
     # row only while rows are at least two wide; on one-wide rows it

@@ -11,6 +11,7 @@ import pytest
 
 import _dyck
 import _oracles
+import _reductions
 import _treeval
 import _walks
 import specbound
@@ -20,10 +21,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 LIBRARY_MODULES = ["errors", "linalg", "bounds", "qve", "montecarlo"]
 
-# every name defined by the test-only helpers: the paper's proof machinery
-# and the brute-force evaluators that check it
+# every name defined by the test-only helpers: the paper's proof machinery,
+# the brute-force evaluators that check it and the exact reduced edges
 TEST_ONLY_NAMES = sorted(
-    n for m in (_dyck, _treeval, _walks, _oracles) for n, obj in vars(m).items()
+    n for m in (_dyck, _treeval, _walks, _oracles, _reductions)
+    for n, obj in vars(m).items()
     if not n.startswith("_") and getattr(obj, "__module__", None) == m.__name__)
 
 

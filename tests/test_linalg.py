@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from specbound.bounds import support_bound
 from specbound.errors import InputError, NumericError
 from specbound.linalg import (
     VarianceMatrix,
@@ -17,6 +18,8 @@ from specbound.linalg import (
     load_dense,
     load_matrix,
 )
+from specbound.montecarlo import McConfig
+from specbound.qve import moment_recursion
 
 
 def dense_norm_sequence(a, J):
@@ -360,6 +363,38 @@ def test_random_profile_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
 def test_random_profile_accepts_every_nonnegative_integer_seed(seed):
     assert np.array_equal(random_profile(5, seed=seed).entries,
                           old_random_profile(5, seed))
+
+
+# ------------------------------------------------------- integer arguments
+
+@pytest.mark.parametrize("call", [
+    lambda: exp_profile(2.5),
+    lambda: wigner_profile(2.5),
+    lambda: wigner_profile(True),
+    lambda: random_profile(2.5, 1),
+    lambda: random_profile(3, seed=True),
+    lambda: norm_sequence(wigner_profile(3), 2.5),
+    lambda: support_bound(wigner_profile(3), J=2.5),
+    lambda: moment_recursion(wigner_profile(3), kmax=True),
+    lambda: McConfig(trials=True, seed=1),
+    lambda: McConfig(trials=1, seed=False),
+    lambda: NormSequence(norm_s=np.nan, z=np.ones(1)),
+    lambda: NormSequence(norm_s=np.inf, z=np.ones(1)),
+    lambda: NormSequence(norm_s=1.0, z=np.array([1.0, np.nan])),
+], ids=["exp-float-n", "wigner-float-n", "wigner-bool-n", "random-float-n",
+        "random-bool-seed", "float-J", "bound-float-J", "bool-kmax",
+        "bool-trials", "bool-mc-seed", "nan-norm", "inf-norm", "nan-z"])
+def test_bad_integers_and_non_finite_norms_are_input_errors(call):
+    # a float or a bool where an integer belongs is an input error, never
+    # a silently rounded size or a raw TypeError; so is a norm sequence
+    # that is not finite
+    with pytest.raises(InputError):
+        call()
+
+
+def test_moment_depth_may_be_a_numpy_integer():
+    s = exp_profile(6)
+    assert np.array_equal(moment_recursion(s, np.int64(3)), moment_recursion(s, 3))
 
 
 # ------------------------------------------------------------- file I/O

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import specbound.qve as qve
 from _dyck import enumerate_trees
+from _reductions import rank_one_edge
 from _treeval import tree_val_vector
 from specbound.bounds import support_bound
 from specbound.errors import ConvergenceError, InputError, NumericError
@@ -26,7 +27,7 @@ from specbound.qve import (
     moment_recursion,
     support_from_moments,
 )
-from specbound.qve import _CEILING_WIDTH, _anderson, _edge_ceiling, _solve_block
+from specbound.qve import _CEILING_WIDTH, _edge_ceiling, _solve_block
 
 # i (sqrt(2) - 1): Stieltjes transform of the semicircle law at z = 2i
 WIGNER_M_AT_2I = 0.4142135623730950488j
@@ -139,28 +140,17 @@ def test_solver_domain_and_convergence_errors():
     assert err.value.iterations == 3
 
 
-def test_kernel_returns_at_once_on_a_non_finite_update():
-    # the first point's update is NaN: the kernel stops after one sweep
-    # and leaves both points unconverged (neither update norm is at most
-    # tol), holding finite iterates for the healthy one
-    s = exp_profile(20)
-    zb = np.array([complex(math.nan, 1e-3), 0.5 + 1e-3j])
-    m = np.repeat((-1.0 / np.array([1j, zb[1]]))[:, None], s.n, axis=1)
-    with np.errstate(invalid="ignore"):
-        sweeps, res = _anderson(s.entries, zb, m, 1e-9, 1_000)
-    assert sweeps == 1
-    assert not (res <= 1e-9).any()
-    assert math.isnan(res[0]) and 0 < res[1] < math.inf
-    assert np.isfinite(m[1]).all()
-
-
 def test_scan_block_and_solver_raise_at_once_on_a_non_finite_update():
+    # a NaN point stops the block after one sweep and is named, whether
+    # it comes before or after a healthy point
     s = exp_profile(20)
-    zb = np.array([0.5 + 1e-3j, complex(math.nan, 1e-3)])
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(ConvergenceError, match="tau = nan ") as err:
-            _solve_block(s.entries, zb, 1e-9, 1_000)
-    assert err.value.iterations == 1
+    nan_point = complex(math.nan, 1e-3)
+    for zb in ([nan_point, 0.5 + 1e-3j], [0.5 + 1e-3j, nan_point]):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="tau = nan ") as err:
+                _solve_block(s.entries, np.array(zb), 1e-9, 1_000)
+        assert err.value.iterations == 1
+        assert math.isnan(err.value.residual)
     # entries of 1e308 overflow S m in the first sweep
     huge = VarianceMatrix(np.full((2, 2), 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -542,9 +532,24 @@ def test_edge_ceiling_lies_between_the_scan_and_the_row_sum_bound(s, grid_step):
 
 
 def test_edge_ceiling_of_exp500_is_within_its_width_of_the_edge():
-    # 3.6814652 is the exact edge of exp500 from the fold of the QVE
+    # exp500 is the rank-one profile of v_x = exp(x / 500)
+    edge = rank_one_edge(np.exp(np.arange(500) / 500))
     got = ceiling(exp_profile(500))
-    assert 3.6814652 * (1 - 1e-7) <= got <= 3.6814652 * (1 + _CEILING_WIDTH)
+    assert edge * (1 - 1e-12) <= got <= edge * (1 + _CEILING_WIDTH)
+
+
+@pytest.mark.parametrize("v", [
+    np.exp(np.arange(60) / 60), np.exp(np.arange(500) / 500),
+    1 + np.arange(200) / 200, np.random.default_rng(3).random(150) + 0.1,
+], ids=["exp60", "exp500", "linear200", "random150"])
+def test_rank_one_edge_orders_the_proxy_ceiling_and_bound(v):
+    # the moment proxy lies below the exact edge, the certified ceiling
+    # above it by at most its bracket width, and the paper's bound above
+    s = VarianceMatrix(np.outer(v, v) / len(v))
+    edge = rank_one_edge(v)
+    proxy = support_from_moments(moment_recursion(s, 100))
+    assert proxy <= edge <= ceiling(s) <= edge * (1 + _CEILING_WIDTH)
+    assert edge <= support_bound(s).improved_bound
 
 
 @settings(max_examples=40, deadline=None)
