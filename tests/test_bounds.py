@@ -74,9 +74,9 @@ def test_critical_w_constant_sequence_is_one():
 
 
 def test_critical_w_half_decay_frozen_value():
-    # the bisection bracket is fixed at 1e-12
     ns = NormSequence(norm_s=1.0, z=np.array([1.0, 0.5]))
-    assert abs(critical_w(ns) - WC_HALF_DECAY) < 1e-12
+    w = critical_w(ns)
+    assert abs(w - WC_HALF_DECAY) < 1e-11
 
 
 def test_critical_w_half_decay_satisfies_quartic():
@@ -90,6 +90,12 @@ def test_critical_w_brackets_a_sign_change():
     ns = norm_sequence(exp_profile(80), 20)
     w = critical_w(ns)
     assert root_function(w - 1e-6, ns) > 0 > root_function(w + 1e-6, ns)
+
+
+def test_critical_w_tolerance_parameter():
+    # the bisection bracket is fixed at 1e-12
+    ns = NormSequence(norm_s=1.0, z=np.array([1.0, 0.5]))
+    assert abs(critical_w(ns) - WC_HALF_DECAY) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
