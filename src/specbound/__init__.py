@@ -9,6 +9,12 @@ _threads = _os.environ.get("SPECBOUND_THREADS")
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
+# Idle OpenBLAS workers spin for 2^28 cycles (about 0.13 s at 2 GHz) after
+# every BLAS call before they sleep, burning a core through the Python steps
+# in between; 2^20 cycles lets them sleep after about 0.5 ms. OpenBLAS reads
+# the value once, when numpy loads it, and a value already set wins. The
+# thread count is unchanged, so every result stays bit-identical.
+_os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 
 __version__ = "0.1.0"
 

@@ -17,8 +17,11 @@ since each then reports the largest singular value. CSV is emitted only
 for density scans. Exit codes: 0 on success, 2 for input problems (an
 input whose arrays cannot be allocated among them), 3 for numeric
 failures. The environment variable SPECBOUND_THREADS caps the threads
-used by the underlying linear algebra when it is set before the first
-import.
+used by the underlying linear algebra. Idle OpenBLAS workers sleep
+after 2^20 cycles (about 0.5 ms) instead of spinning for 2^28;
+OPENBLAS_THREAD_TIMEOUT overrides that. Both take effect only if they
+are set before numpy is first imported. The manifest's cpu_seconds
+counts the CPU time of every thread, next to its wall_clock_seconds.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ _GRAM_NOTE = ("input was linearized from a rectangular matrix: the numbers "
               "bound the largest eigenvalue of the Gram matrix")
 
 
-def _manifest(args, desc, started):
+def _manifest(args, desc, started, cpu_started):
     params = {"source": desc}
     params.update((k, v) for k, v in vars(args).items() if k not in _UNRECORDED)
     return {
@@ -103,6 +106,9 @@ def _manifest(args, desc, started):
         "parameters": params,
         "version": __version__,
         "wall_clock_seconds": round(time.perf_counter() - started, 6),
+        # CPU time of every thread of the process: far above the wall
+        # clock, it shows BLAS threads busy while the run is not
+        "cpu_seconds": round(time.process_time() - cpu_started, 6),
     }
 
 
@@ -217,14 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), time.process_time()
     try:
         if not args.profile:
             raise InputError("a matrix source is required: --profile NAME|PATH")
         s, desc = resolve_profile(args.profile, n=args.n, seed=args.profile_seed,
                                   repair=args.repair)
         fields, lines = args.func(args, s)
-        payload = {"manifest": _manifest(args, desc, started), **fields}
+        payload = {"manifest": _manifest(args, desc, started, cpu_started), **fields}
         lines = [f"profile: {desc}", *lines]
         if desc.get("profile") == "gram":
             payload["note"] = _GRAM_NOTE

@@ -99,13 +99,18 @@ def _draw(sigma, ensemble, rng):
         h = rng.standard_normal(sigma.shape)
         h *= sigma
     else:
-        gr = rng.standard_normal(sigma.shape)
-        h = 1j * rng.standard_normal(sigma.shape)
-        h += gr
+        # one real buffer takes both draws in turn, so no more than the
+        # complex sample and one real profile are alive at once
+        g = rng.standard_normal(sigma.shape)
+        h = np.empty(sigma.shape, dtype=complex)
+        h.real = g
+        diag = np.diag(sigma) * np.diag(g)
+        rng.standard_normal(out=g)
+        h.imag = g
         h *= sigma
         h /= math.sqrt(2)
         np.conjugate(h, out=h)
-        np.fill_diagonal(h, np.diag(sigma) * np.diag(gr))
+        np.fill_diagonal(h, diag)
     h += 0.0
     return h.T
 

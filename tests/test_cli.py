@@ -335,6 +335,7 @@ def test_report_shares_flag_groups_with_qve_and_mc(capsys):
 def strip_clock(payload):
     out = json.loads(json.dumps(payload))
     out["manifest"].pop("wall_clock_seconds")
+    out["manifest"].pop("cpu_seconds")
     return out
 
 
@@ -365,6 +366,13 @@ def argv_from_manifest(manifest):
         elif value is not False and value is not None:
             argv += [flag, str(value)]
     return argv
+
+
+def test_manifest_records_the_cpu_seconds_of_the_run(capsys):
+    code, payload, _ = invoke(capsys, "report", "--profile", "wigner", "--n", "4")
+    assert code == 0
+    cpu = payload["manifest"]["cpu_seconds"]
+    assert isinstance(cpu, float) and cpu >= 0.0
 
 
 def test_bound_rerun_is_bitwise_identical(capsys):

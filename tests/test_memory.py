@@ -77,7 +77,7 @@ def test_large_profile_bound_and_moments_peak_below_two_profiles():
 
 
 @pytest.mark.parametrize("ensemble,limit", [
-    ("real-symmetric", 4.5), ("complex-hermitian", 10.0)])
+    ("real-symmetric", 4.5), ("complex-hermitian", 9.0)])
 def test_mc_experiment_peak(ensemble, limit):
     growth = peak_growth(MC_CHILD, 1000, ensemble)
     assert growth < limit, f"peak grew by {growth:.2f} profiles of 8 n^2 bytes"

@@ -1,0 +1,86 @@
+"""Idle BLAS workers sleep instead of spinning, and the numbers stay the same.
+
+specbound sets OPENBLAS_THREAD_TIMEOUT before numpy loads, and OpenBLAS
+reads it once, at load time, so each check runs in a fresh interpreter
+whose environment is built here: the test session has long since
+imported numpy, and its own environment already holds the default.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from test_cli import strip_timing
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "OPENBLAS_THREAD_TIMEOUT")
+
+TIMEOUT_CHILD = """
+import os
+import specbound
+print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+"""
+
+# CPU time burnt while the process sleeps after a BLAS call: a spinning
+# worker thread counts towards the process's CPU time, a sleeping one not
+IDLE_CHILD = """
+import time
+import specbound  # first: it sets the timeout before numpy loads
+import numpy as np
+a = np.random.default_rng(0).standard_normal((500, 500))
+a @ a
+before = time.process_time()
+time.sleep(0.3)
+print(time.process_time() - before)
+"""
+
+
+def child(argv, **env_vars):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env.update(env_vars)
+    out = subprocess.run([sys.executable, *argv], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return out.stdout
+
+
+def uses_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError, ValueError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def test_import_sets_the_thread_timeout_unless_it_is_set():
+    assert child(["-c", TIMEOUT_CHILD]).strip() == "20"
+    preset = child(["-c", TIMEOUT_CHILD], OPENBLAS_THREAD_TIMEOUT="28")
+    assert preset.strip() == "28"
+
+
+@pytest.mark.skipif(not uses_openblas() or cpus() < 2,
+                    reason="needs numpy on OpenBLAS and two CPUs")
+def test_idle_blas_worker_burns_no_cpu_while_the_process_sleeps():
+    idle = float(child(["-c", IDLE_CHILD], SPECBOUND_THREADS="2"))
+    assert idle < 0.02, f"{idle:.4f} s of CPU during a 0.3 s sleep"
+
+
+def test_report_is_the_same_with_the_spinning_timeout():
+    argv = ["-m", "specbound.cli", "report", "--profile", "expprofile",
+            "--n", "200", "--trials", "2"]
+    runs = [json.loads(child(argv, SPECBOUND_THREADS="2", **extra))
+            for extra in ({}, {"OPENBLAS_THREAD_TIMEOUT": "28"})]
+    assert strip_timing(runs[0]) == strip_timing(runs[1])
