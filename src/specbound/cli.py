@@ -55,7 +55,9 @@ def _source_flags(parser):
         help="generator name (wigner, expprofile, random, gram:<path>) "
         "or the path of a square matrix file",
     )
-    parser.add_argument("--n", type=int, help="size for generated profiles")
+    parser.add_argument("--n", type=int,
+                        help="size for generated profiles (refused for a file "
+                        "or gram: source)")
     parser.add_argument(
         "--profile-seed", type=int, default=0,
         help="seed for the 'random' profile generator (default 0)",

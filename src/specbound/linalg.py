@@ -84,7 +84,11 @@ class VarianceMatrix:
         if not (type(a) is np.ndarray and a.dtype == np.float64
                 and a.flags.c_contiguous and a.base is None
                 and not a.flags.writeable):
-            a = np.array(entries, dtype=float)
+            try:
+                a = np.array(entries, dtype=float)
+            except (TypeError, ValueError) as exc:  # complex, ragged, text
+                raise InputError(
+                    f"matrix entries must be real numbers: {exc}") from None
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise InputError(f"expected a nonempty square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -200,11 +204,12 @@ def gram_linearize(rect) -> VarianceMatrix:
     output profile bounds the squared largest singular value.  B is only
     read; the profile is the one (M+N)-square array built here.
     """
-    b = np.asarray(rect, dtype=float)
+    try:
+        b = np.asarray(rect, dtype=float)
+    except (TypeError, ValueError) as exc:  # complex, ragged, text
+        raise InputError(f"matrix entries must be real numbers: {exc}") from None
     if b.ndim != 2 or b.size == 0:
         raise InputError(f"expected a nonempty 2-d array, got shape {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise InputError("matrix contains NaN or infinite entries")
     if np.any(b < 0):
         x, y = np.argwhere(b < 0)[0]
         raise InputError(f"negative entry {float(b[x, y])!r} at ({x}, {y})")
@@ -309,10 +314,7 @@ def load_dense(path) -> np.ndarray:
 
 def load_matrix(path, repair: bool = False) -> VarianceMatrix:
     """Read a square variance profile from a text file."""
-    a = load_dense(path)
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"{path}: expected a square matrix, got shape {a.shape}")
-    return VarianceMatrix(a, repair=repair)
+    return VarianceMatrix(load_dense(path), repair=repair)
 
 
 def resolve_profile(name: str, n: int | None = None, seed: int | None = None,
@@ -322,29 +324,27 @@ def resolve_profile(name: str, n: int | None = None, seed: int | None = None,
     Recognized generator names: ``wigner`` and ``expprofile`` (both need
     ``n``), ``random`` (needs ``n`` and ``seed``), and ``gram:<path>``
     for the symmetric linearization of a rectangular matrix file.  Any
-    other string is treated as the path of a square matrix file, which
-    ``repair`` fixes up (see VarianceMatrix); ``repair`` with any other
-    source raises InputError.  Returns the profile plus a small
-    descriptor suitable for logging.
+    other string is treated as the path of a square matrix file.  Each
+    setting is read by one kind of source: ``n`` by the generators, and
+    given with a file or ``gram:`` source it raises InputError; ``seed``
+    by ``random`` only, and ignored elsewhere; ``repair`` by square
+    matrix files only (see VarianceMatrix), and with any other source it
+    raises InputError.  Returns the profile plus a small descriptor
+    suitable for logging.
     """
-    if repair and (name in ("wigner", "expprofile", "random")
-                   or name.startswith("gram:")):
+    generated = name in ("wigner", "expprofile", "random")
+    if repair and (generated or name.startswith("gram:")):
         raise InputError("repair applies only to square matrix files, "
                          f"not to {name!r}")
-
-    def need_n():
-        if n is None:
-            raise InputError(f"profile {name!r} requires a size n")
-        return n
-
+    if n is not None and not generated:
+        raise InputError("n applies only to generated profiles "
+                         f"(wigner, expprofile, random), not to {name!r}")
     if name == "wigner":
-        return wigner_profile(need_n()), {"profile": name, "n": n}
+        return wigner_profile(n), {"profile": name, "n": n}
     if name == "expprofile":
-        return exp_profile(need_n()), {"profile": name, "n": n}
+        return exp_profile(n), {"profile": name, "n": n}
     if name == "random":
-        if seed is None:
-            raise InputError("profile 'random' requires a seed")
-        return random_profile(need_n(), seed), {"profile": name, "n": n, "seed": seed}
+        return random_profile(n, seed), {"profile": name, "n": n, "seed": seed}
     if name.startswith("gram:"):
         path = name[len("gram:"):]
         g = gram_linearize(load_dense(path))

@@ -95,6 +95,35 @@ def test_bound_rejects_repair_of_a_gram_source(tmp_path, capsys):
         assert err.startswith("error: repair applies only to square matrix files")
 
 
+SQUARE = [[0.5, 0.25], [0.25, 0.5]]
+N_REFUSED = "n applies only to generated profiles (wigner, expprofile, random)"
+
+
+@pytest.mark.parametrize("source,rows,message", [
+    (["wigner"], None, "n must be a positive integer, got None"),
+    (["expprofile", "--n", "0"], None, "n must be a positive integer, got 0"),
+    (["{f}"], [[1.0, 0.0, 2.0], [0.0, 1.0, 1.0]],
+     "expected a nonempty square matrix, got shape (2, 3)"),
+    (["gram:{f}"], [[1.0, float("nan")]], "matrix contains NaN or infinite entries"),
+    (["gram:{f}"], [[1.0, 0.0], [0.0, float("-inf")]], "negative entry -inf at (1, 1)"),
+    # a file or gram: source has its own size, which --n would not change
+    (["{f}", "--n", "7"], SQUARE, N_REFUSED + ", not to '{f}'"),
+    (["gram:{f}", "--n", "7"], SQUARE, N_REFUSED + ", not to 'gram:{f}'"),
+], ids=["no-n", "zero-n", "non-square-file", "gram-nan", "gram-minus-inf",
+        "file-with-n", "gram-with-n"])
+def test_bound_source_errors_exit_2_with_one_line(tmp_path, capsys, source, rows,
+                                                  message):
+    # each of these is rejected by the one check that reads the value
+    f = tmp_path / "m.txt"
+    if rows is not None:
+        write_plain(f, rows)
+    code, payload, err = invoke(capsys, "bound", "--profile",
+                                *(a.format(f=f) for a in source), "--j", "2")
+    assert code == 2
+    assert payload is None
+    assert err == f"error: {message.format(f=f)}\n"
+
+
 def test_bound_deep_j_on_star_profile_file(tmp_path, capsys):
     # z_j underflows before j = 250 on this profile
     f = tmp_path / "star.txt"
@@ -167,6 +196,17 @@ def test_qve_zero_matrix_reports_not_found(tmp_path, capsys):
     assert payload["value"] == 0.0
     assert not payload["found"]
     assert "not detected" in err
+
+
+def test_qve_density_that_never_reaches_the_threshold_is_not_found(capsys):
+    # the smoothed semicircle density stays below 1 on the whole grid
+    code, payload, err = invoke(capsys, "qve", "--profile", "wigner", "--n", "20",
+                                "--grid-step", "0.01", "--threshold", "1")
+    assert code == 0
+    assert "support not detected" in err
+    assert payload["found"] is False
+    assert payload["value"] == 0.0
+    assert payload["grid_top"] == 3.0
 
 
 def test_qve_writes_density_csv(tmp_path, capsys):

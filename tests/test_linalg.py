@@ -17,6 +17,7 @@ from specbound.linalg import (
     random_profile,
     load_dense,
     load_matrix,
+    resolve_profile,
 )
 from specbound.montecarlo import McConfig
 from specbound.qve import moment_recursion
@@ -182,6 +183,11 @@ def test_gram_rejects_negative_entries():
         gram_linearize(np.array([[1.0, -0.1]]))
 
 
+def test_gram_rejects_a_vector():
+    with pytest.raises(InputError, match=r"2-d array, got shape \(2,\)"):
+        gram_linearize([1.0, 2.0])
+
+
 # ------------------------------------------------------- VarianceMatrix
 
 def test_constructor_rejects_asymmetry_and_names_indices():
@@ -204,6 +210,17 @@ def test_constructor_rejects_non_square_and_nan():
     bad = np.full((2, 2), np.nan)
     with pytest.raises(InputError):
         VarianceMatrix(bad)
+
+
+@pytest.mark.parametrize("build", [VarianceMatrix, gram_linearize],
+                         ids=["square", "gram"])
+@pytest.mark.parametrize("entries", [
+    [[1 + 1j]], [[1, 2], [3]], [["a", "b"], ["c", "d"]],
+], ids=["complex", "ragged", "text"])
+def test_entries_that_are_not_real_numbers_are_input_errors(build, entries):
+    # NumPy's own TypeError or ValueError never leaks out
+    with pytest.raises(InputError, match="must be real numbers"):
+        build(entries)
 
 
 def test_repair_mode_symmetrizes_and_clamps():
@@ -381,15 +398,24 @@ def test_random_profile_accepts_every_nonnegative_integer_seed(seed):
     lambda: NormSequence(norm_s=np.nan, z=np.ones(1)),
     lambda: NormSequence(norm_s=np.inf, z=np.ones(1)),
     lambda: NormSequence(norm_s=1.0, z=np.array([1.0, np.nan])),
+    lambda: NormSequence(1.0, [[1.0]]),
 ], ids=["exp-float-n", "wigner-float-n", "wigner-bool-n", "random-float-n",
         "random-bool-seed", "float-J", "bound-float-J", "bool-kmax",
-        "bool-trials", "bool-mc-seed", "nan-norm", "inf-norm", "nan-z"])
+        "bool-trials", "bool-mc-seed", "nan-norm", "inf-norm", "nan-z",
+        "matrix-z"])
 def test_bad_integers_and_non_finite_norms_are_input_errors(call):
     # a float or a bool where an integer belongs is an input error, never
     # a silently rounded size or a raw TypeError; so is a norm sequence
     # that is not finite
     with pytest.raises(InputError):
         call()
+
+
+def test_random_source_without_a_seed_names_the_seed():
+    # rejected by random_profile's seed check; resolve_profile has none
+    with pytest.raises(InputError,
+                       match="^seed must be a nonnegative integer, got None$"):
+        resolve_profile("random", n=4)
 
 
 def test_moment_depth_may_be_a_numpy_integer():

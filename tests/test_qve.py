@@ -264,6 +264,13 @@ def test_support_estimate_zero_profile_not_found():
     assert not est.found
 
 
+def test_support_estimate_of_a_density_below_the_threshold_is_not_found():
+    # a nonzero profile whose smoothed density never reaches 1: the walk
+    # down from the ceiling runs off the bottom of the grid
+    est = estimate_support(wigner_profile(20), grid_step=1e-2, threshold=1.0)
+    assert est == SupportEstimate(0.0, False, 1e-3, 1e-2, 1.0, 3.0)
+
+
 def test_support_estimate_stays_below_improved_bound():
     for s in (wigner_profile(8), exp_profile(100), seeded_profile(60, seed=7)):
         est = estimate_support(s)
