@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
-from .linalg import NormSequence, VarianceMatrix, norm_sequence
+from .linalg import NormSequence, VarianceMatrix, _check_real, norm_sequence
 
 __all__ = ["root_function", "critical_w", "support_bound", "BoundReport"]
 
@@ -37,8 +36,7 @@ def root_function(w: float, ns: NormSequence) -> float:
 
     Defined for 0 <= w < 2; the geometric closing term diverges at 2.
     """
-    if not 0.0 <= w < 2.0:
-        raise InputError(f"root function is defined on [0, 2), got w={w}")
+    w = _check_real("w", w, 0.0, 2.0, closed=True)
     z = ns.z
     x = w / 2.0
     J = len(z)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
@@ -39,7 +38,7 @@ import numpy as np
 from . import __version__
 from .bounds import support_bound
 from .errors import InputError, NumericError
-from .linalg import resolve_profile
+from .linalg import _check_real, resolve_profile
 from .montecarlo import ENSEMBLES, McConfig, mc_experiment
 from .qve import (
     density_scan,
@@ -59,8 +58,8 @@ def _source_flags(parser):
                         help="size for generated profiles (refused for a file "
                         "or gram: source)")
     parser.add_argument(
-        "--profile-seed", type=int, default=0,
-        help="seed for the 'random' profile generator (default 0)",
+        "--profile-seed", type=int,
+        help="seed for 'random' profiles (default 0; refused for other sources)",
     )
     parser.add_argument(
         "--repair", action="store_true",
@@ -124,9 +123,7 @@ def cmd_bound(args, s):
 
 
 def cmd_qve(args, s):
-    if not 0.0 < args.csv_step < math.inf:
-        raise InputError(
-            f"--csv-step must be positive and finite, got {args.csv_step}")
+    _check_real("--csv-step", args.csv_step)
     est = estimate_support(s, eta=args.eta, grid_step=args.grid_step,
                            threshold=args.threshold)
     if est.found:
@@ -229,7 +226,9 @@ def run(argv=None) -> int:
     try:
         if not args.profile:
             raise InputError("a matrix source is required: --profile NAME|PATH")
-        s, desc = resolve_profile(args.profile, n=args.n, seed=args.profile_seed,
+        seed = args.profile_seed
+        seed = 0 if seed is None and args.profile == "random" else seed
+        s, desc = resolve_profile(args.profile, n=args.n, seed=seed,
                                   repair=args.repair)
         fields, lines = args.func(args, s)
         payload = {"manifest": _manifest(args, desc, started, cpu_started), **fields}

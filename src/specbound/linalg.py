@@ -13,7 +13,9 @@ besides ``|S|`` itself.
 
 from __future__ import annotations
 
+import numbers
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +64,30 @@ def _check_int(name, value, minimum):
     return int(value)
 
 
+def _check_real(name, value, low=0.0, high=np.inf, closed=False):
+    """Return ``value`` as a float if it is a real number, not a bool, in
+    (low, high), or in [low, high) when ``closed``; raise InputError otherwise."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # float() of an int past double range raises, so test its size first
+    x = float(value) if real and abs(value) <= sys.float_info.max else np.nan
+    if not ((low <= x) if closed else (low < x)) or not x < high:
+        span = f"{'[' if closed else '('}{low:g}, {high:g})"
+        raise InputError(f"{name} must be a real number in {span}, got {value!r}")
+    return x
+
+
+def _real_array(name, value, copy=False):
+    """Return ``value`` as a float64 array, a new one when ``copy``; raise
+    InputError unless it is a rectangular array of integers or floats."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # ragged
+        raise InputError(f"{name} must be real numbers: {exc}") from None
+    if a.dtype.kind not in "iuf":  # not bools, complex numbers, text or objects
+        raise InputError(f"{name} must be real numbers, got dtype {a.dtype}")
+    return np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
+
+
 class VarianceMatrix:
     """Validated symmetric nonnegative matrix.
 
@@ -84,11 +110,7 @@ class VarianceMatrix:
         if not (type(a) is np.ndarray and a.dtype == np.float64
                 and a.flags.c_contiguous and a.base is None
                 and not a.flags.writeable):
-            try:
-                a = np.array(entries, dtype=float)
-            except (TypeError, ValueError) as exc:  # complex, ragged, text
-                raise InputError(
-                    f"matrix entries must be real numbers: {exc}") from None
+            a = _real_array("matrix entries", entries, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise InputError(f"expected a nonempty square matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -136,10 +158,9 @@ class NormSequence:
     z: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "norm_s", _check_real("norm_s", self.norm_s))
         # a copy, so that the caller's array stays writeable
-        z = np.array(self.z, dtype=float)
-        if not 0.0 < self.norm_s < np.inf:
-            raise InputError(f"norm must be positive and finite, got {self.norm_s}")
+        z = _real_array("z values", self.z, copy=True)
         if z.ndim != 1 or len(z) == 0:
             raise InputError("z must be a nonempty vector")
         if z[0] != 1.0:
@@ -204,10 +225,7 @@ def gram_linearize(rect) -> VarianceMatrix:
     output profile bounds the squared largest singular value.  B is only
     read; the profile is the one (M+N)-square array built here.
     """
-    try:
-        b = np.asarray(rect, dtype=float)
-    except (TypeError, ValueError) as exc:  # complex, ragged, text
-        raise InputError(f"matrix entries must be real numbers: {exc}") from None
+    b = _real_array("matrix entries", rect)
     if b.ndim != 2 or b.size == 0:
         raise InputError(f"expected a nonempty 2-d array, got shape {b.shape}")
     if np.any(b < 0):
@@ -325,12 +343,10 @@ def resolve_profile(name: str, n: int | None = None, seed: int | None = None,
     ``n``), ``random`` (needs ``n`` and ``seed``), and ``gram:<path>``
     for the symmetric linearization of a rectangular matrix file.  Any
     other string is treated as the path of a square matrix file.  Each
-    setting is read by one kind of source: ``n`` by the generators, and
-    given with a file or ``gram:`` source it raises InputError; ``seed``
-    by ``random`` only, and ignored elsewhere; ``repair`` by square
-    matrix files only (see VarianceMatrix), and with any other source it
-    raises InputError.  Returns the profile plus a small descriptor
-    suitable for logging.
+    setting is read by one kind of source and raises InputError with any
+    other: ``n`` by the generators, ``seed`` by ``random`` and ``repair``
+    by square matrix files (see VarianceMatrix).  Returns the profile
+    plus a small descriptor suitable for logging.
     """
     generated = name in ("wigner", "expprofile", "random")
     if repair and (generated or name.startswith("gram:")):
@@ -339,6 +355,8 @@ def resolve_profile(name: str, n: int | None = None, seed: int | None = None,
     if n is not None and not generated:
         raise InputError("n applies only to generated profiles "
                          f"(wigner, expprofile, random), not to {name!r}")
+    if seed is not None and name != "random":
+        raise InputError(f"a profile seed applies only to 'random', not to {name!r}")
     if name == "wigner":
         return wigner_profile(n), {"profile": name, "n": n}
     if name == "expprofile":

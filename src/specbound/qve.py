@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError, NumericError
-from .linalg import VarianceMatrix, _check_int, inf_norm
+from .linalg import VarianceMatrix, _check_int, _check_real, _real_array, inf_norm
 
 __all__ = ["SupportEstimate", "density", "density_scan", "estimate_support",
            "moment_recursion", "support_from_moments"]
@@ -82,12 +82,6 @@ class SupportEstimate:
     grid_step: float
     threshold: float
     grid_top: float
-
-
-def _check_positive(**values):
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise InputError(f"{name} must be positive and finite, got {value}")
 
 
 def _solve_block(entries, zb, tol, cap):
@@ -218,12 +212,12 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     Each block of _BLOCK points is one call of the kernel _solve_block,
     which starts every point at m = -1/z and converges it to an update
     norm of _TOL within _MAX_SWEEPS sweeps.  Raises InputError when a
-    tau is not finite; a block left unconverged raises the kernel's
-    ConvergenceError, naming the first point whose update norm is not
-    finite, or else the first point still running.
+    tau is not a finite real number; a block left unconverged raises the
+    kernel's ConvergenceError, naming the first point whose update norm
+    is not finite, or else the first point still running.
     """
-    _check_positive(eta=eta)
-    taus = np.asarray(taus, dtype=float).ravel()
+    eta = _check_real("eta", eta)
+    taus = _real_array("taus", taus).ravel()
     if not np.isfinite(taus).all():
         raise InputError(f"taus must be finite, got {taus[~np.isfinite(taus)][0]}")
     out = np.empty(len(taus))
@@ -290,7 +284,9 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     at the origin that the smoothing would smear past the threshold), so
     it short-circuits to a not-found result.
     """
-    _check_positive(eta=eta, grid_step=grid_step, threshold=threshold)
+    eta = _check_real("eta", eta)
+    grid_step = _check_real("grid_step", grid_step)
+    threshold = _check_real("threshold", threshold)
     norm = inf_norm(s)
     if norm == 0.0:
         return SupportEstimate(0.0, False, eta, grid_step, threshold, 0.0)
@@ -361,9 +357,13 @@ def support_from_moments(table: np.ndarray) -> float:
     complements the density scan from below.  A shallower proxy comes
     from a shallower table: moment_recursion(s, k) is the first k + 1
     columns of any deeper table of s, bit for bit.  Raises InputError
-    on a table of depth 0, which holds no moment to take a root of.
+    on a table of depth 0, or a top moment that is negative or not finite.
     """
+    table = _real_array("table entries", table)
+    if table.ndim != 2 or not len(table):
+        raise InputError(f"table must be a 2-d array with rows, got shape {table.shape}")
     kmax = table.shape[1] - 1
     if kmax < 1:
         raise InputError(f"table must hold moments up to k >= 1, got kmax = {kmax}")
-    return float(table[:, kmax].max() ** (1.0 / (2 * kmax)))
+    top = float(table[:, kmax].max())
+    return _check_real("the top moment", top, closed=True) ** (1.0 / (2 * kmax))

@@ -7,6 +7,7 @@ import pkgutil
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import _dyck
@@ -15,6 +16,17 @@ import _reductions
 import _treeval
 import _walks
 import specbound
+from specbound import (
+    InputError,
+    NormSequence,
+    VarianceMatrix,
+    density_scan,
+    estimate_support,
+    gram_linearize,
+    root_function,
+    support_from_moments,
+    wigner_profile,
+)
 from specbound.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -83,3 +95,43 @@ def test_test_oracles_are_not_shipped(name):
     mod = importlib.import_module(name)
     for oracle in TEST_ONLY_NAMES:
         assert not hasattr(mod, oracle), f"{name}.{oracle}"
+
+
+# ------------------------------------------------- values that are not real
+
+S3 = wigner_profile(3)
+NS = NormSequence(1.0, [1.0, 0.5])
+
+NOT_REAL = {
+    "z-complex": lambda: NormSequence(1.0, [1 + 1j]),
+    "z-text": lambda: NormSequence(1.0, ["a"]),
+    "z-ragged": lambda: NormSequence(1.0, [[1.0], [1.0, 0.5]]),
+    "norm-text": lambda: NormSequence("x", [1.0]),
+    "norm-bool": lambda: NormSequence(True, [1.0]),
+    "matrix-complex-array": lambda: VarianceMatrix(np.array([[1 + 1j]])),
+    "gram-complex-array": lambda: gram_linearize(np.array([[1 + 1j]])),
+    "matrix-text-array": lambda: VarianceMatrix(np.array([["1"]])),
+    "matrix-bool-array": lambda: VarianceMatrix(np.array([[True]])),
+    "taus-complex-array": lambda: density_scan(S3, np.array([1 + 1j])),
+    "taus-text": lambda: density_scan(S3, ["a"]),
+    "eta-text": lambda: density_scan(S3, [1.0], eta="a"),
+    "grid-step-text": lambda: estimate_support(S3, grid_step="a"),
+    "eta-bool": lambda: estimate_support(S3, eta=True),
+    "w-text": lambda: root_function("a", NS),
+    "w-complex": lambda: root_function(1j, NS),
+    "table-complex": lambda: support_from_moments(np.array([[1.0, 1 + 1j]])),
+    "table-nan": lambda: support_from_moments(np.array([[1.0, np.nan]])),
+}
+
+
+@pytest.mark.parametrize("call", NOT_REAL.values(), ids=NOT_REAL)
+def test_values_that_are_not_real_numbers_are_input_errors(call):
+    # never NumPy's TypeError or ValueError, an AttributeError, a
+    # ComplexWarning with the imaginary part dropped, a bool read as 0 or
+    # 1, text read as a number, or a NaN result
+    with pytest.raises(InputError, match="real number"):
+        call()
+
+
+def test_a_moment_table_given_as_nested_lists_is_read_as_an_array():
+    assert support_from_moments([[1.0, 2.0]]) == 2.0 ** 0.5

@@ -97,6 +97,7 @@ def test_bound_rejects_repair_of_a_gram_source(tmp_path, capsys):
 
 SQUARE = [[0.5, 0.25], [0.25, 0.5]]
 N_REFUSED = "n applies only to generated profiles (wigner, expprofile, random)"
+SEED_REFUSED = "a profile seed applies only to 'random'"
 
 
 @pytest.mark.parametrize("source,rows,message", [
@@ -109,8 +110,13 @@ N_REFUSED = "n applies only to generated profiles (wigner, expprofile, random)"
     # a file or gram: source has its own size, which --n would not change
     (["{f}", "--n", "7"], SQUARE, N_REFUSED + ", not to '{f}'"),
     (["gram:{f}", "--n", "7"], SQUARE, N_REFUSED + ", not to 'gram:{f}'"),
+    # only the random generator draws, so no other source reads a seed
+    (["wigner", "--n", "4", "--profile-seed", "3"], None,
+     SEED_REFUSED + ", not to 'wigner'"),
+    (["{f}", "--profile-seed", "3"], SQUARE, SEED_REFUSED + ", not to '{f}'"),
 ], ids=["no-n", "zero-n", "non-square-file", "gram-nan", "gram-minus-inf",
-        "file-with-n", "gram-with-n"])
+        "file-with-n", "gram-with-n", "wigner-with-profile-seed",
+        "file-with-profile-seed"])
 def test_bound_source_errors_exit_2_with_one_line(tmp_path, capsys, source, rows,
                                                   message):
     # each of these is rejected by the one check that reads the value
@@ -159,6 +165,15 @@ def test_bound_negative_profile_seed_is_an_input_error(capsys):
     assert code == 2
     assert payload is None
     assert err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+def test_random_source_without_a_profile_seed_draws_with_seed_0(capsys):
+    argv = ["bound", "--profile", "random", "--n", "6", "--j", "4"]
+    code, unset, _ = invoke(capsys, *argv)
+    code_0, zero, _ = invoke(capsys, *argv, "--profile-seed", "0")
+    assert code == code_0 == 0
+    assert unset["manifest"]["parameters"]["source"]["seed"] == 0
+    assert strip_clock(unset) == strip_clock(zero)
 
 
 def test_bound_requires_a_source(capsys):

@@ -126,23 +126,32 @@ def test_unknown_ensemble_rejected():
 @pytest.mark.parametrize("ensemble", ["real-symmetric", "complex-hermitian"])
 def test_entry_statistics_match_profile(ensemble):
     """Over many draws each entry must be centered with variance
-    E |H_xy|^2 equal to the profile entry."""
-    s = VarianceMatrix(np.array([[1.0, 0.5, 0.2],
-                                 [0.5, 2.0, 0.8],
-                                 [0.2, 0.8, 0.7]]))
+    E |H_xy|^2 equal to the profile entry.  The profile holds ten copies
+    of a 3x3 block on its diagonal, so each draw samples every block
+    entry ten times, independently, and every entry off the blocks is 0."""
+    block = np.array([[1.0, 0.5, 0.2],
+                      [0.5, 2.0, 0.8],
+                      [0.2, 0.8, 0.7]])
+    copies = 10
+    s = VarianceMatrix(np.kron(np.eye(copies), block))
+    off_block = np.kron(np.eye(copies), np.ones((3, 3))) == 0
+    diag = np.arange(copies)
     rng = trial_rng(2024, 0)
-    draws = 100_000
+    draws = 10_000
     acc_sq = np.zeros((3, 3))
     acc_mean = np.zeros((3, 3), dtype=complex)
     for _ in range(draws):
         h = sample_matrix(s, ensemble, rng)
-        acc_sq += np.abs(h) ** 2
-        acc_mean += h
-    var = acc_sq / draws
-    np.testing.assert_allclose(var, s.entries, rtol=0.03)
+        assert not h[off_block].any()
+        blocks = h.reshape(copies, 3, copies, 3)[diag, :, diag]  # (copies, 3, 3)
+        acc_sq += (np.abs(blocks) ** 2).sum(axis=0)
+        acc_mean += blocks.sum(axis=0)
+    samples = copies * draws  # 100,000 per block entry
+    var = acc_sq / samples
+    np.testing.assert_allclose(var, block, rtol=0.03)
     # per-entry mean within 3 standard errors of zero
-    err = 3 * np.sqrt(s.entries / draws) + 1e-12
-    assert np.all(np.abs(acc_mean / draws) <= err)
+    err = 3 * np.sqrt(block / samples) + 1e-12
+    assert np.all(np.abs(acc_mean / samples) <= err)
 
 
 # --------------------------------------------------------- spectral radius

@@ -538,13 +538,6 @@ def test_edge_ceiling_lies_between_the_scan_and_the_row_sum_bound(s, grid_step):
     assert est.value - grid_step <= got <= 2 * math.sqrt(inf_norm(s))
 
 
-def test_edge_ceiling_of_exp500_is_within_its_width_of_the_edge():
-    # exp500 is the rank-one profile of v_x = exp(x / 500)
-    edge = rank_one_edge(np.exp(np.arange(500) / 500))
-    got = ceiling(exp_profile(500))
-    assert edge * (1 - 1e-12) <= got <= edge * (1 + _CEILING_WIDTH)
-
-
 @pytest.mark.parametrize("v", [
     np.exp(np.arange(60) / 60), np.exp(np.arange(500) / 500),
     1 + np.arange(200) / 200, np.random.default_rng(3).random(150) + 0.1,
