@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NormSequence, VarianceMatrix, _check_real, norm_sequence
+from .linalg import (NormSequence, VarianceMatrix, _check_real, _check_type,
+                     norm_sequence)
 
 __all__ = ["root_function", "critical_w", "support_bound", "BoundReport"]
 
@@ -37,7 +38,7 @@ def root_function(w: float, ns: NormSequence) -> float:
     Defined for 0 <= w < 2; the geometric closing term diverges at 2.
     """
     w = _check_real("w", w, 0.0, 2.0, closed=True)
-    z = ns.z
+    z = _check_type("ns", ns, NormSequence).z
     x = w / 2.0
     J = len(z)
     head = 1.0 + float((x ** np.arange(1, J + 1)) @ z)

@@ -14,6 +14,7 @@ besides ``|S|`` itself.
 from __future__ import annotations
 
 import numbers
+import os
 import re
 import sys
 import warnings
@@ -76,6 +77,15 @@ def _check_real(name, value, low=0.0, high=np.inf, closed=False):
     return x
 
 
+def _check_type(name, value, *classes):
+    """Return ``value`` if it is an instance of one of ``classes``; raise
+    InputError naming the expected and the given type otherwise."""
+    if not isinstance(value, classes):
+        want = " or ".join(c.__name__ for c in classes)
+        raise InputError(f"{name} must be a {want}, got {type(value).__name__}")
+    return value
+
+
 def _real_array(name, value, copy=False):
     """Return ``value`` as a float64 array, a new one when ``copy``; raise
     InputError unless it is a rectangular array of integers or floats."""
@@ -106,6 +116,7 @@ class VarianceMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries, repair: bool = False):
+        _check_type("repair", repair, bool)
         a = entries
         if not (type(a) is np.ndarray and a.dtype == np.float64
                 and a.flags.c_contiguous and a.base is None
@@ -184,6 +195,7 @@ def inf_norm(s: VarianceMatrix) -> float:
     The entries are finite, but their row sums can leave
     double-precision range; that raises NumericError.
     """
+    _check_type("s", s, VarianceMatrix)
     with np.errstate(over="ignore"):
         norm = float((s.entries @ np.ones(s.n)).max())
     if not np.isfinite(norm):
@@ -204,7 +216,7 @@ def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
     it replaces and the bound computed from the sequence stays valid.
     """
     J = _check_int("J", J, 1)
-    entries = s.entries
+    entries = _check_type("s", s, VarianceMatrix).entries
     u = np.ones(s.n)
     norm = inf_norm(s)
     if norm == 0.0:
@@ -295,7 +307,7 @@ def load_dense(path) -> np.ndarray:
     raises InputError with the offending line.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(_check_type("path", path, str, os.PathLike)).read_text()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not a text file: {exc}") from None
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
@@ -348,8 +360,8 @@ def resolve_profile(name: str, n: int | None = None, seed: int | None = None,
     by square matrix files (see VarianceMatrix).  Returns the profile
     plus a small descriptor suitable for logging.
     """
-    generated = name in ("wigner", "expprofile", "random")
-    if repair and (generated or name.startswith("gram:")):
+    generated = _check_type("name", name, str) in ("wigner", "expprofile", "random")
+    if _check_type("repair", repair, bool) and (generated or name.startswith("gram:")):
         raise InputError("repair applies only to square matrix files, "
                          f"not to {name!r}")
     if n is not None and not generated:

@@ -28,12 +28,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import VarianceMatrix, _check_int
+from .linalg import VarianceMatrix, _check_int, _check_type
 
 __all__ = ["ENSEMBLES", "McConfig", "McResult", "mc_experiment",
            "sample_matrix", "spectral_radius", "trial_rng"]
 
 ENSEMBLES = ("real-symmetric", "complex-hermitian")
+
+
+def _check_ensemble(ensemble):
+    """The one check of an ensemble name, for McConfig and sample_matrix."""
+    if _check_type("ensemble", ensemble, str) not in ENSEMBLES:
+        raise InputError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
 
 
 @dataclass(frozen=True)
@@ -51,10 +57,7 @@ class McConfig:
             object.__setattr__(self, name, value)
         if not self.seed < 2**64:
             raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.ensemble not in ENSEMBLES:
-            raise InputError(
-                f"unknown ensemble {self.ensemble!r}; choose from {ENSEMBLES}"
-            )
+        _check_ensemble(self.ensemble)
 
 
 @dataclass(frozen=True)
@@ -123,9 +126,9 @@ def sample_matrix(s: VarianceMatrix, ensemble: str,
     independently. Complex-hermitian: off-diagonal real and imaginary
     parts each Normal(0, S_xy / 2); diagonal real Normal(0, S_xx).
     """
-    if ensemble not in ENSEMBLES:
-        raise InputError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
-    low = _draw(np.sqrt(s.entries), ensemble, rng)
+    _check_ensemble(ensemble)
+    _check_type("rng", rng, np.random.Generator)
+    low = _draw(np.sqrt(_check_type("s", s, VarianceMatrix).entries), ensemble, rng)
     return np.tril(low) + np.tril(low, -1).conj().T
 
 
@@ -157,7 +160,8 @@ def mc_experiment(s: VarianceMatrix, cfg: McConfig) -> McResult:
     failures.
     """
     start = time.perf_counter()
-    sigma = np.sqrt(s.entries)
+    _check_type("cfg", cfg, McConfig)
+    sigma = np.sqrt(_check_type("s", s, VarianceMatrix).entries)
     values = []
     failures = 0
     for trial in range(cfg.trials):

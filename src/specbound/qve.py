@@ -48,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, InputError, NumericError
-from .linalg import VarianceMatrix, _check_int, _check_real, _real_array, inf_norm
+from .linalg import (VarianceMatrix, _check_int, _check_real, _check_type,
+                     _real_array, inf_norm)
 
 __all__ = ["SupportEstimate", "density", "density_scan", "estimate_support",
            "moment_recursion", "support_from_moments"]
@@ -216,6 +217,7 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     kernel's ConvergenceError, naming the first point whose update norm
     is not finite, or else the first point still running.
     """
+    _check_type("s", s, VarianceMatrix)
     eta = _check_real("eta", eta)
     taus = _real_array("taus", taus).ravel()
     if not np.isfinite(taus).all():
@@ -329,7 +331,7 @@ def moment_recursion(s: VarianceMatrix, kmax: int) -> np.ndarray:
     be probed after scaling.
     """
     kmax = _check_int("kmax", kmax, 0)
-    entries, n = s.entries, s.n
+    entries, n = _check_type("s", s, VarianceMatrix).entries, s.n
     # One spare zero column: NumPy reduces over the outer axis row after
     # row only while rows are at least two wide; on one-wide rows it
     # switches to pairwise summation, which changes the last bits.

@@ -13,6 +13,7 @@ import numpy as np
 
 from _dyck import dyck_transition_prob, enumerate_dyck, enumerate_trees
 from _oracles import pbot_probability, stopped_walk_series_exhaustive
+from _reductions import rank_one_edge
 from _treeval import chopping_bound_check, tree_val_vector
 from _walks import (
     floor_walk_closed_form,
@@ -64,6 +65,8 @@ def test_criterion_1_exponential_profile_reference_values(exp500, exp500_support
     powers = q ** np.arange(rep.J)
     premise_gap = float(np.max(np.abs(rep.z - powers) / powers))
     edge = exp500_support.value
+    # exp500 is v v^T / 500 with v_i = exp(i / 500): its exact edge
+    exact = rank_one_edge(np.exp(np.arange(500) / 500))
     _criterion(1, "exponential profile N=500 J=50 against its rank-one closed form", [
         (f"trivial bound {rep.trivial_bound:.4f} within 4.316 +/- 0.01",
          abs(rep.trivial_bound - 4.316) <= 0.01),
@@ -78,6 +81,9 @@ def test_criterion_1_exponential_profile_reference_values(exp500, exp500_support
          f"<= trivial {rep.trivial_bound:.4f}",
          exp500_support.found
          and edge <= rep.improved_bound <= rep.trivial_bound),
+        (f"exact rank-one edge {exact:.10f} within 3.6814652048 +/- 1e-9 "
+         f"and <= improved {rep.improved_bound:.4f}",
+         abs(exact - 3.6814652048) <= 1e-9 and exact <= rep.improved_bound),
         (f"runtime {elapsed:.2f}s under 10s", elapsed < 10.0),
     ])
 

@@ -18,12 +18,24 @@ import _walks
 import specbound
 from specbound import (
     InputError,
+    McConfig,
     NormSequence,
     VarianceMatrix,
+    critical_w,
+    density,
     density_scan,
     estimate_support,
     gram_linearize,
+    inf_norm,
+    load_dense,
+    load_matrix,
+    mc_experiment,
+    moment_recursion,
+    norm_sequence,
+    resolve_profile,
     root_function,
+    sample_matrix,
+    support_bound,
     support_from_moments,
     wigner_profile,
 )
@@ -135,3 +147,44 @@ def test_values_that_are_not_real_numbers_are_input_errors(call):
 
 def test_a_moment_table_given_as_nested_lists_is_read_as_an_array():
     assert support_from_moments([[1.0, 2.0]]) == 2.0 ** 0.5
+
+
+# ------------------------------------------------- objects of the wrong type
+
+# each case takes the path of a valid 1x1 matrix file, so that the type
+# of the argument is the only thing wrong with it
+WRONG_TYPE = {
+    "support-bound-array": lambda f: support_bound(np.eye(3)),
+    "norm-sequence-array": lambda f: norm_sequence(np.eye(2), 3),
+    "inf-norm-array": lambda f: inf_norm(np.eye(2)),
+    "moments-array": lambda f: moment_recursion(np.eye(2), 2),
+    "density-scan-array": lambda f: density_scan(np.eye(2), [0.1]),
+    "density-array": lambda f: density(np.eye(2), 0.1, 1e-3),
+    "support-estimate-list": lambda f: estimate_support([[1.0]]),
+    "root-function-list": lambda f: root_function(0.5, [1.0]),
+    "critical-w-list": lambda f: critical_w([1.0]),
+    "sample-array": lambda f: sample_matrix(
+        np.eye(2), "real-symmetric", np.random.default_rng(0)),
+    "sample-int-rng": lambda f: sample_matrix(S3, "real-symmetric", 0),
+    "sample-random-state": lambda f: sample_matrix(
+        S3, "complex-hermitian", np.random.RandomState(0)),
+    "mc-array": lambda f: mc_experiment(np.eye(2), McConfig(trials=1, seed=0)),
+    "mc-dict-config": lambda f: mc_experiment(S3, {"trials": 1}),
+    "config-ensemble-array": lambda f: McConfig(
+        trials=1, seed=0, ensemble=np.array(["a", "b"])),
+    "resolve-int": lambda f: resolve_profile(5),
+    "resolve-path": lambda f: resolve_profile(Path(f)),
+    "load-dense-int": lambda f: load_dense(5),
+    "load-matrix-none": lambda f: load_matrix(None),
+    "repair-text": lambda f: VarianceMatrix(np.eye(2), repair="no"),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_TYPE.values(), ids=WRONG_TYPE)
+def test_objects_of_the_wrong_type_are_input_errors(call, tmp_path):
+    # never an AttributeError or TypeError from reaching into the object,
+    # nor a truthy string read as True
+    f = tmp_path / "m.txt"
+    f.write_text("1\n1.0\n")
+    with pytest.raises(InputError, match=r" must be a \w+.*, got \w+"):
+        call(str(f))

@@ -10,10 +10,12 @@ from specbound.errors import InputError
 from specbound.linalg import (
     NormSequence,
     exp_profile,
+    gram_linearize,
     norm_sequence,
     random_profile,
     wigner_profile,
 )
+from specbound.qve import moment_recursion, support_from_moments
 
 # Root of 1 = x + x^2 + 0.5 x^3 + x^4/(1-x) for the sequence z = (1, 0.5),
 # i.e. of the quartic x^4 - x^3 + 4x - 2, with w = 2x.  Value computed to
@@ -172,6 +174,32 @@ def test_bound_scales_as_sqrt_of_profile_scale():
     assert r2.trivial_bound == pytest.approx(2 * r1.trivial_bound, rel=1e-12)
     assert r2.improved_bound == pytest.approx(2 * r1.improved_bound, rel=1e-10)
     assert r2.w_c == pytest.approx(r1.w_c, abs=1e-10)
+
+
+TRIVIAL_FAMILIES = {
+    "wigner": lambda: wigner_profile(50),
+    "exp": lambda: exp_profile(50),
+    "random": lambda: random_profile(50, seed=3),
+    "gram": lambda: gram_linearize(np.random.default_rng(5).random((20, 60))),
+    "constant-gram": lambda: gram_linearize(np.full((20, 60), 1 / 60)),
+}
+
+
+@pytest.mark.parametrize("make", TRIVIAL_FAMILIES.values(), ids=TRIVIAL_FAMILIES)
+def test_trivial_bound_is_twice_the_first_moment_proxy(make):
+    # the k = 1 proxy is max_x (S 1)_x ** (1/2) = |S| ** (1/2), and it
+    # never exceeds the edge, so trivial <= 2 edge on every profile
+    s = make()
+    trivial = support_bound(s).trivial_bound
+    proxy = support_from_moments(moment_recursion(s, 1))
+    assert abs(trivial - 2 * proxy) <= 2 * np.spacing(trivial)
+
+
+def test_trivial_bound_nearly_reaches_twice_the_edge():
+    # constant Gram profile with c = M/N = 1/400: |S| = 1 and the edge
+    # is exactly 1 + sqrt(c) = 1.05 (Marchenko-Pastur)
+    s = gram_linearize(np.full((1, 400), 1 / 400))
+    assert support_bound(s).trivial_bound / 1.05 >= 1.90
 
 
 def star_profile(n):
