@@ -55,6 +55,20 @@ def _tiles(n: int):
             yield slice(lo, lo + _TILE), slice(hi, hi + _TILE)
 
 
+def _check_matrix(a):
+    """Refuse ``a`` unless it is a nonempty finite square matrix; return the
+    first entry (x, y), row-major, where a != conj(a.T), or None. Builds no
+    n-by-n mask unless one differs: min and max propagate NaN and reach +-inf."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise InputError(f"expected a nonempty square matrix, got shape {a.shape}")
+    parts = (a.real, a.imag) if a.dtype.kind == "c" else (a,)
+    if not all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts):
+        raise InputError("matrix contains NaN or infinite entries")
+    if all(np.array_equal(a[r, c], a[c, r].conj().T) for r, c in _tiles(a.shape[0])):
+        return None
+    return tuple(int(i) for i in np.argwhere(a != a.conj().T)[0])
+
+
 def _check_int(name, value, minimum):
     """Return ``value`` as an int if it is a Python or NumPy integer, not
     a bool, of at least ``minimum`` (0 or 1); raise InputError otherwise."""
@@ -86,16 +100,19 @@ def _check_type(name, value, *classes):
     return value
 
 
-def _real_array(name, value, copy=False):
+def _real_array(name, value, copy=False, allow_complex=False):
     """Return ``value`` as a float64 array, a new one when ``copy``; raise
-    InputError unless it is a rectangular array of integers or floats."""
+    InputError unless it is a rectangular array of integers or floats, or,
+    with ``allow_complex``, of complex numbers, returned as complex128."""
+    kinds, what = ("iufc", "real or complex") if allow_complex else ("iuf", "real")
     try:
         a = np.asarray(value)
     except (TypeError, ValueError) as exc:  # ragged
-        raise InputError(f"{name} must be real numbers: {exc}") from None
-    if a.dtype.kind not in "iuf":  # not bools, complex numbers, text or objects
-        raise InputError(f"{name} must be real numbers, got dtype {a.dtype}")
-    return np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
+        raise InputError(f"{name} must be {what} numbers: {exc}") from None
+    if a.dtype.kind not in kinds:  # not bools, text or objects
+        raise InputError(f"{name} must be {what} numbers, got dtype {a.dtype}")
+    dtype = complex if a.dtype.kind == "c" else float
+    return np.array(a, dtype=dtype) if copy else np.asarray(a, dtype=dtype)
 
 
 class VarianceMatrix:
@@ -122,22 +139,19 @@ class VarianceMatrix:
                 and a.flags.c_contiguous and a.base is None
                 and not a.flags.writeable):
             a = _real_array("matrix entries", entries, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise InputError(f"expected a nonempty square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InputError("matrix contains NaN or infinite entries")
         fixed = []
-        if not all(np.array_equal(a[r, c], a[c, r].T) for r, c in _tiles(a.shape[0])):
+        bad = _check_matrix(a)
+        if bad is not None:
             if repair:
                 a = (a + a.T) / 2
                 fixed.append("symmetrized")
             else:
-                x, y = np.argwhere(a != a.T)[0]
+                x, y = bad
                 raise InputError(
                     f"matrix is not symmetric: entry ({x}, {y}) = {float(a[x, y])!r} "
                     f"but ({y}, {x}) = {float(a[y, x])!r}"
                 )
-        if np.any(a < 0):
+        if a.min() < 0:
             if repair:
                 a = np.clip(a, 0.0, None)
                 fixed.append("clamped negatives to zero")
@@ -240,7 +254,7 @@ def gram_linearize(rect) -> VarianceMatrix:
     b = _real_array("matrix entries", rect)
     if b.ndim != 2 or b.size == 0:
         raise InputError(f"expected a nonempty 2-d array, got shape {b.shape}")
-    if np.any(b < 0):
+    if b.min() < 0:
         x, y = np.argwhere(b < 0)[0]
         raise InputError(f"negative entry {float(b[x, y])!r} at ({x}, {y})")
     m, n = b.shape

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import VarianceMatrix, _check_int, _check_type
+from .linalg import VarianceMatrix, _check_int, _check_matrix, _check_type, _real_array
 
 __all__ = ["ENSEMBLES", "McConfig", "McResult", "mc_experiment",
            "sample_matrix", "spectral_radius", "trial_rng"]
@@ -42,6 +42,13 @@ def _check_ensemble(ensemble):
         raise InputError(f"unknown ensemble {ensemble!r}; choose from {ENSEMBLES}")
 
 
+def _check_seed(seed):
+    """The one seed rule, for McConfig and trial_rng: an integer in [0, 2**64)."""
+    if not _check_int("seed", seed, 0) < 2**64:
+        raise InputError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Parameters of one sampling experiment."""
@@ -52,11 +59,8 @@ class McConfig:
 
     def __post_init__(self):
         # NumPy integers are stored as int, so that results serialize
-        for name, minimum in (("trials", 1), ("seed", 0)):
-            value = _check_int(name, getattr(self, name), minimum)
-            object.__setattr__(self, name, value)
-        if not self.seed < 2**64:
-            raise InputError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "trials", _check_int("trials", self.trials, 1))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         _check_ensemble(self.ensemble)
 
 
@@ -83,8 +87,8 @@ class McResult:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, reproducible RNG stream for one trial."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(trial,)))
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=_check_seed(seed), spawn_key=(_check_int("trial", trial, 0),)))
 
 
 def _draw(sigma, ensemble, rng):
@@ -134,20 +138,21 @@ def sample_matrix(s: VarianceMatrix, ensemble: str,
 
 def _radius(h) -> float:
     # eigvalsh reads only the lower triangle of h
-    return float(np.abs(np.linalg.eigvalsh(h)).max(initial=0.0))
+    return float(np.abs(np.linalg.eigvalsh(h)).max())
 
 
 def spectral_radius(h) -> float:
     """Largest absolute eigenvalue of a symmetric/hermitian matrix.
 
     Exact to roundoff, from ``numpy.linalg.eigvalsh``. Raises
-    ``numpy.linalg.LinAlgError`` if the eigensolver does not converge.
+    ``numpy.linalg.LinAlgError`` if the eigensolver does not converge,
+    and InputError unless ``h`` is a nonempty square array of finite
+    real or complex numbers, as linalg checks a profile's entries.
     """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise InputError(f"need a square matrix, got shape {h.shape}")
-    if not np.array_equal(h, h.conj().T):
-        raise InputError("matrix is not symmetric/hermitian")
+    h = _real_array("h", h, allow_complex=True)
+    bad = _check_matrix(h)
+    if bad is not None:
+        raise InputError(f"matrix is not symmetric/hermitian at entry {bad}")
     return _radius(h)
 
 

@@ -337,11 +337,13 @@ def moment_recursion(s: VarianceMatrix, kmax: int) -> np.ndarray:
     # switches to pairwise summation, which changes the last bits.
     c = np.zeros((kmax + 1, n + 1))
     sc = np.zeros((kmax, n + 1))  # sc[m, :n] = S @ c[m, :n]
+    prod = np.empty((kmax, n + 1))  # the k products of order k; every order reuses it
     c[0, :n] = 1.0
     for k in range(1, kmax + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             sc[k - 1, :n] = entries @ c[k - 1, :n]
-            np.add.reduce(c[k - 1::-1] * sc[:k], axis=0, out=c[k])
+            np.multiply(c[k - 1::-1], sc[:k], out=prod[:k])
+            np.add.reduce(prod[:k], axis=0, out=c[k])
         if not np.all(np.isfinite(c[k])):
             raise NumericError(
                 f"moment overflow at k = {k}; rescale the profile and retry"

@@ -202,6 +202,46 @@ def test_trivial_bound_nearly_reaches_twice_the_edge():
     assert support_bound(s).trivial_bound / 1.05 >= 1.90
 
 
+# Worst case for the improved bound: the constant Gram profile
+# gram_linearize(full((M, N), 1/N)) with c = M/N has |S| = 1, edge
+# 1 + sqrt(c) (Marchenko-Pastur) and z_j = c^floor(j/2).
+GRAM_WORST = {
+    (60, 120): 1.822875656,
+    (20, 200): 1.661895004,
+    (4, 400): 1.622497216,
+    (1, 400): 1.619151464,
+}
+
+
+@pytest.mark.parametrize("shape", GRAM_WORST, ids=[f"{m}x{n}" for m, n in GRAM_WORST])
+def test_constant_gram_improved_bound_pinned(shape):
+    m, n = shape
+    s = gram_linearize(np.full(shape, 1 / n))
+    edge = 1 + np.sqrt(m / n)
+    for J in (50, 200):
+        rep = support_bound(s, J=J)
+        assert rep.improved_bound == pytest.approx(GRAM_WORST[shape], abs=1e-6)
+        # the paper's bound stays above the edge, the trivial one within 2x
+        assert edge < rep.improved_bound < rep.trivial_bound <= 2 * edge
+
+
+def test_constant_gram_norm_sequence_closed_form():
+    c, J = 0.01, 50
+    ns = norm_sequence(gram_linearize(np.full((4, 400), 1 / 400)), J)
+    assert ns.norm_s == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_allclose(ns.z, c ** (np.arange(1, J + 1) // 2), rtol=1e-12)
+
+
+def test_constant_gram_bound_tends_to_the_golden_ratio():
+    # as c -> 0 the edge tends to 1 and the improved bound to
+    # phi = (1 + sqrt 5) / 2, 61.8% above it
+    c, J = 1e-12, 200
+    tiny = np.finfo(float).tiny  # norm_sequence's floor
+    z = np.maximum(c ** (np.arange(1, J + 1) // 2), tiny)
+    improved = 2.0 / critical_w(NormSequence(norm_s=1.0, z=z))
+    assert abs(improved - (1 + np.sqrt(5)) / 2) <= 1e-12
+
+
 def star_profile(n):
     """Hub-and-spokes profile S[0, y] = S[y, 0] = 1: z_j decays like
     (n - 1)^(-j/2) and underflows a double near j = 230 at n = 1000."""

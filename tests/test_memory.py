@@ -38,6 +38,25 @@ print(json.dumps({"base": base, "peak": peak_bytes()}))
 """
 
 
+# The generator is run once on a 2-by-2 profile before the baseline is
+# taken, so that the lazy import of numpy.random falls before it. The
+# profile is the one array the generator fills in place; every check of
+# it only reads.
+PROFILE_CHILD = """
+import json, resource, sys
+from specbound.linalg import random_profile
+
+def peak_bytes():
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss if sys.platform == "darwin" else rss * 1024
+
+random_profile(2, 0)
+base = peak_bytes()
+s = random_profile(2000, 7)
+print(json.dumps({"base": base, "peak": peak_bytes()}))
+"""
+
+
 # The path is run once on a 2-by-2 profile before the baseline is taken:
 # the lazy import of numpy.random alone adds about 6 MB, which no
 # profile size changes.
@@ -74,6 +93,12 @@ def peak_growth(child, n, *argv):
 def test_large_profile_bound_and_moments_peak_below_two_profiles():
     growth = peak_growth(CHILD, 2000)
     assert growth < 2.0, f"peak grew by {growth:.2f} profiles of 8 n^2 bytes"
+
+
+def test_random_profile_peak_is_one_profile():
+    # a boolean n-by-n mask in a check would add 1/8 of a profile
+    growth = peak_growth(PROFILE_CHILD, 2000)
+    assert growth < 1.06, f"peak grew by {growth:.3f} profiles of 8 n^2 bytes"
 
 
 @pytest.mark.parametrize("ensemble,limit", [

@@ -194,6 +194,52 @@ def test_spectral_radius_rejects_asymmetric_input():
         spectral_radius(np.zeros((2, 3)))
 
 
+INF = np.inf
+REFUSED = {
+    "float seed": lambda: trial_rng(1.5, 0),
+    "float trial": lambda: trial_rng(0, 1.5),
+    "negative seed": lambda: trial_rng(-1, 0),
+    "negative trial": lambda: trial_rng(0, -1),
+    "bool seed": lambda: trial_rng(True, 0),
+    "bool trial": lambda: trial_rng(0, True),
+    "seed of 2**64": lambda: trial_rng(2**64, 0),
+    "text matrix": lambda: spectral_radius([["a", "b"], ["b", "a"]]),
+    "object matrix": lambda: spectral_radius(np.array([[None]])),
+    "ragged matrix": lambda: spectral_radius([[1.0], [1.0, 2.0]]),
+    "infinite entry": lambda: spectral_radius(np.array([[INF]])),
+    "symmetric infinities": lambda: spectral_radius(np.array([[0, INF], [INF, 0]])),
+    "bool matrix": lambda: spectral_radius(np.eye(2, dtype=bool)),
+    "empty matrix": lambda: spectral_radius(np.zeros((0, 0))),
+}
+
+
+@pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED)
+def test_trial_rng_and_spectral_radius_refuse_with_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize("h", [[[np.nan]], [[1 + np.nan * 1j]], [[-INF, 0], [0, 1]]])
+def test_spectral_radius_names_a_non_finite_entry_not_asymmetry(h):
+    with pytest.raises(InputError, match="NaN or infinite"):
+        spectral_radius(np.array(h))
+
+
+def test_spectral_radius_names_the_first_asymmetric_entry():
+    h = np.zeros((3, 3), dtype=complex)
+    h[1, 2], h[2, 1] = 1j, 1j  # hermitian needs -1j at (2, 1)
+    with pytest.raises(InputError, match=r"hermitian at entry \(1, 2\)$"):
+        spectral_radius(h)
+    h[0, 0] = 1j  # a diagonal entry of a hermitian matrix is real
+    with pytest.raises(InputError, match=r"hermitian at entry \(0, 0\)$"):
+        spectral_radius(h)
+
+
+def test_trial_rng_takes_the_largest_seed_and_numpy_integers():
+    a = trial_rng(np.uint64(2**64 - 1), np.int64(3)).random()
+    assert a == trial_rng(2**64 - 1, 3).random()
+
+
 # ---------------------------------------------------------------- experiment
 
 def test_config_validation():
