@@ -3,7 +3,10 @@
 Subcommands tie the pipeline together: ``bound`` computes the row-sum
 support bound, ``qve`` locates the spectral edge from the smoothed
 density, ``mc`` samples random matrices and measures their largest
-eigenvalue, and ``report`` combines all three into one comparison.
+eigenvalue, and ``report`` combines all three into one comparison. The
+scan's settings (--eta, --grid-step, --threshold) are ``qve``'s alone;
+``report`` runs the scan at their defaults and echoes them in its
+``support_estimate``.
 
 Machine-readable output is JSON on stdout; the human summary goes to
 stderr so pipelines stay clean, and ``> report.json`` keeps it. Every
@@ -38,7 +41,7 @@ import numpy as np
 from . import __version__
 from .bounds import support_bound
 from .errors import InputError, NumericError
-from .linalg import _check_real, resolve_profile
+from .linalg import _check_int, _check_real, resolve_profile
 from .montecarlo import ENSEMBLES, McConfig, mc_experiment
 from .qve import (
     density_scan,
@@ -70,15 +73,6 @@ def _source_flags(parser):
 def _bound_flags(parser):
     parser.add_argument("--j", type=int, default=50,
                         help="depth of the norm sequence (default 50)")
-
-
-def _qve_flags(parser):
-    parser.add_argument("--eta", type=float, default=1e-3,
-                        help="imaginary offset of the probe line (default 1e-3)")
-    parser.add_argument("--grid-step", type=float, default=1e-3,
-                        help="tau grid resolution (default 1e-3)")
-    parser.add_argument("--threshold", type=float, default=1e-2,
-                        help="density level defining the edge (default 1e-2)")
 
 
 def _mc_flags(parser):
@@ -134,7 +128,7 @@ def cmd_qve(args, s):
     if args.csv:
         taus = np.arange(0.0, max(est.grid_top, args.csv_step) + args.csv_step / 2,
                          args.csv_step)
-        vals = density_scan(s, taus, eta=args.eta)
+        vals = density_scan(s, taus, eta=est.eta)
         rows = "\n".join(f"{t:.10g},{v:.10g}" for t, v in zip(taus, vals))
         Path(args.csv).write_text("tau,density\n" + rows + "\n")
         lines.append(f"density scan ({len(taus)} points) written to {args.csv}")
@@ -151,14 +145,14 @@ def cmd_mc(args, s):
 
 
 def cmd_report(args, s):
-    # bad MC settings fail before any stage runs
+    # bad MC or depth settings fail before any stage runs
     cfg = McConfig(trials=args.trials, seed=args.seed, ensemble=args.ensemble)
+    kmax = _check_int("kmax", args.kmax, 1)
     # cheap stages first, so that a failing profile fails fast
     rep = support_bound(s, J=args.j)
-    table = moment_recursion(s, kmax=args.kmax)
+    table = moment_recursion(s, kmax=kmax)
     proxy = support_from_moments(table)
-    est = estimate_support(s, eta=args.eta, grid_step=args.grid_step,
-                           threshold=args.threshold)
+    est = estimate_support(s)
     mc = mc_experiment(s, cfg)
     fields = {
         "trivial_bound": rep.trivial_bound,
@@ -167,11 +161,11 @@ def cmd_report(args, s):
         "J": rep.J,
         "support_estimate": asdict(est),
         "moment_proxy": proxy,
-        "moment_kmax": args.kmax,
+        "moment_kmax": kmax,
         "mc": asdict(mc),
     }
     return fields, [
-        f"moment proxy    {proxy:.4f}   (kmax = {args.kmax})",
+        f"moment proxy    {proxy:.4f}   (kmax = {kmax})",
         f"mc mean         {mc.mean:.4f} +/- {mc.std:.4f}   "
         f"({len(mc.per_trial)} trials, {mc.failures} failures)",
         f"support edge    {est.value:.4f}" + ("" if est.found else "   (not found)"),
@@ -197,7 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("qve", help="support edge from the smoothed density")
     _source_flags(q)
-    _qve_flags(q)
+    q.add_argument("--eta", type=float, default=1e-3,
+                   help="imaginary offset of the probe line (default 1e-3)")
+    q.add_argument("--grid-step", type=float, default=1e-3,
+                   help="tau grid resolution (default 1e-3)")
+    q.add_argument("--threshold", type=float, default=1e-2,
+                   help="density level defining the edge (default 1e-2)")
     q.add_argument("--csv", metavar="PATH",
                    help="write a tau,density scan to this CSV file")
     q.add_argument("--csv-step", type=float, default=0.05,
@@ -214,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     _bound_flags(r)
     r.add_argument("--kmax", type=int, default=100,
                    help="depth of the moment proxy (default 100)")
-    _qve_flags(r)
     _mc_flags(r)
     r.set_defaults(func=cmd_report)
     return p

@@ -143,7 +143,8 @@ class VarianceMatrix:
         bad = _check_matrix(a)
         if bad is not None:
             if repair:
-                a = (a + a.T) / 2
+                # halves first: the sum of two finite entries can overflow
+                a = a / 2 + a.T / 2
                 fixed.append("symmetrized")
             else:
                 x, y = bad

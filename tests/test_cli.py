@@ -182,12 +182,17 @@ def test_bound_requires_a_source(capsys):
     assert "source" in err
 
 
-@pytest.mark.parametrize("removed", [
-    ("--tol", "1e-12"), ("--matrix", "m.txt"), ("--json", "report.json")],
-    ids=["tol", "matrix", "json"])
-def test_bound_removed_flags_are_unrecognized(capsys, removed):
+@pytest.mark.parametrize("command,removed", [
+    ("bound", ("--tol", "1e-12")), ("bound", ("--matrix", "m.txt")),
+    ("bound", ("--json", "report.json")),
+    # the scan's settings are qve's alone
+    ("report", ("--eta", "1e-3")), ("report", ("--grid-step", "1e-3")),
+    ("report", ("--threshold", "1e-3"))],
+    ids=["tol", "matrix", "json", "report-eta", "report-grid-step",
+         "report-threshold"])
+def test_bound_removed_flags_are_unrecognized(capsys, command, removed):
     with pytest.raises(SystemExit) as exc:
-        run(["bound", "--profile", "wigner", "--n", "4", *removed])
+        run([command, "--profile", "wigner", "--n", "4", *removed])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -323,7 +328,8 @@ def test_gram_source_carries_note(tmp_path, capsys, command):
     assert "note:" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1")])
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1"),
+                                        ("--kmax", "0")])
 def test_report_checks_mc_flags_before_any_stage(monkeypatch, capsys, flag, value):
     import specbound.cli as cli
 
@@ -375,14 +381,27 @@ def test_report_shares_flag_groups_with_qve_and_mc(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["report", "--help"])
     out = capsys.readouterr().out
-    assert "imaginary offset of the probe line" in out
+    assert "imaginary offset of the probe line" not in out
     assert "number of samples" in out
     parser = build_parser()
     report = vars(parser.parse_args(["report"]))
-    for sub in ("bound", "qve", "mc"):
-        for key, value in vars(parser.parse_args([sub])).items():
-            if key not in ("command", "func", "csv", "csv_step"):
-                assert report[key] == value, (sub, key)
+    # report shares bound's depth and mc's settings; the scan's settings
+    # are qve's alone, and report runs the scan at their defaults
+    for sub, keys in (("bound", ["j"]), ("mc", ["trials", "seed", "ensemble"])):
+        given = vars(parser.parse_args([sub]))
+        for key in keys:
+            assert report[key] == given[key], (sub, key)
+    assert not {"eta", "grid_step", "threshold"} & report.keys()
+
+
+def test_report_support_estimate_is_the_qve_payload(capsys):
+    source = ["--profile", "random", "--n", "30", "--profile-seed", "5"]
+    code, report, _ = invoke(capsys, "report", *source, "--trials", "1")
+    assert code == 0
+    code, scan, _ = invoke(capsys, "qve", *source)
+    assert code == 0
+    scan.pop("manifest")
+    assert report["support_estimate"] == scan
 
 
 # ----------------------------------------------------- manifest reproducibility
@@ -454,7 +473,7 @@ def test_manifest_parameters_reconstruct_the_run(tmp_path, capsys):
         ["mc", "--profile", "expprofile", "--n", "20", "--trials", "3",
          "--seed", "0", "--ensemble", "complex-hermitian"],
         ["report", "--profile", f"gram:{rect}", "--j", "12", "--kmax", "20",
-         "--threshold", "0.02", "--trials", "2"],
+         "--trials", "2"],
     ]
     # the near file warns that it was repaired, on both of its runs
     with pytest.warns(UserWarning, match="repaired"):

@@ -305,6 +305,15 @@ def test_repair_of_a_large_input_leaves_the_input_alone(adopt):
     np.testing.assert_array_equal(given, kept)
 
 
+def test_repair_of_finite_entries_near_the_top_of_double_range_stays_finite():
+    # a + a.T overflows here; the mean of the two entries does not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        s = VarianceMatrix(np.array([[0.0, 1e308], [1.7e308, 0.0]]), repair=True)
+    assert [str(w.message) for w in caught] == ["repaired input matrix: symmetrized"]
+    np.testing.assert_array_equal(s.entries, [[0.0, 1.35e308], [1.35e308, 0.0]])
+
+
 # ------------------------------------------------------------- builders
 
 def test_wigner_profile_entries():

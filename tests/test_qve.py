@@ -669,6 +669,18 @@ def test_support_proxy_kmax_one_is_sqrt_norm():
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1),
+       log_a=st.floats(-2.0, 2.0), kmax=st.integers(1, 20))
+def test_support_proxy_is_scale_equivariant(n, seed, log_a, kmax):
+    # c_k(aS) = a^k c_k(S); in this range every c_k stays in double range
+    a = 10.0 ** log_a
+    s = random_profile(n, seed=seed)
+    scaled = VarianceMatrix(a * s.entries)
+    assert support_from_moments(moment_recursion(scaled, kmax)) == pytest.approx(
+        math.sqrt(a) * support_from_moments(moment_recursion(s, kmax)), rel=1e-12)
+
+
 def test_support_proxy_increases_toward_edge():
     s = exp_profile(60)
     lo = support_from_moments(moment_recursion(s, kmax=10))
