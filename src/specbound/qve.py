@@ -17,18 +17,21 @@ as matrix-matrix products.  Plain iteration contracts at a rate only
 O(Im z) away from one near the spectrum; the short per-point history
 removes that slow contraction with the same matrix products.  The
 kernel is one function, _solve_block, which density_scan calls on each
-block of points: it starts every point at m = -1/z, iterates until
-every point of the block has converged (none is abandoned early), and
+block of points: it starts every row x of every point at the semicircle
+law of its own row sum r_x = (S 1)_x, the root of r_x m^2 + z m + 1 = 0
+in the upper half-plane, which is the exact solution when every row sum
+is r_x (Ajanki, Erdos and Kruger, "Quadratic vector equations on the
+complex upper half-plane", cited as [AEK]).  It iterates until every
+point of the block has converged (none is abandoned early), and
 otherwise raises ConvergenceError; no other code raises it.
 The support scan reads its densities from density_scan, so both scans
 converge to the one tolerance _TOL within the one budget _MAX_SWEEPS.
 
 The support scan starts from a certified ceiling on the edge rather
 than from the row-sum bound: max_x (1/u_x + (S u)_x) at any computed
-u > 0 bounds the edge from above (Ajanki, Erdos and Kruger, "Quadratic
-vector equations on the complex upper half-plane", cited as [AEK]),
-and each m_x is the Stieltjes transform of a measure with no mass above
-the edge, so the smoothed density falls as tau rises above the ceiling.
+u > 0 bounds the edge from above [AEK], and each m_x is the Stieltjes
+transform of a measure with no mass above the edge, so the smoothed
+density falls as tau rises above the ceiling.
 That is the scan's one premise.  It walks from the lowest grid point at
 or above the ceiling: down to the first point whose density exceeds the
 threshold when the density there is at most the threshold, and
@@ -87,8 +90,19 @@ class SupportEstimate:
 
 def _solve_block(entries, zb, tol, cap):
     """Converge every point of ``zb`` within ``cap`` sweeps of
-    Anderson-accelerated fixed-point iteration of m -> -1/(z + S m),
-    each point from the cold start m = -1/z.
+    Anderson-accelerated fixed-point iteration of m -> -1/(z + S m).
+
+    Row x of each point starts at its own semicircle m_x = -2 / (z + w),
+    where w^2 = z^2 - 4 r_x with r_x the row sum, on the root with
+    Re(conj(z) w) >= 0; it lies in the upper half-plane and solves the
+    system when every row sum is r_x.  w is formed as
+    sqrt(z - e_x) sqrt(z + e_x) from the semicircle's edge
+    e_x = 2 sqrt(r_x): a product of principal roots that is this root
+    and squares neither z nor r_x, so it does not overflow for any
+    finite row sum and |z| below about 9e307.  A row whose row sum is 0
+    starts at exactly -1/z, its solution; so does a row whose formula is
+    not finite or not in the upper half-plane (an overflowed row sum,
+    |z| near the largest double, or an underflowed imaginary part).
 
     Returns ``(m, sweeps, res)``: one row of m per point, the sweeps
     run, and every row's last update norm ``max_x |g_x - m_x|`` with
@@ -114,7 +128,12 @@ def _solve_block(entries, zb, tol, cap):
     is not finite, or else the first running point.
     """
     b, n = len(zb), entries.shape[0]
-    m = np.repeat((-1.0 / zb)[:, None], n, axis=1)
+    z = zb[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        edge = 2.0 * np.sqrt(entries.sum(axis=1))
+        m = -2.0 / (z + np.sqrt(z - edge) * np.sqrt(z + edge))
+    cold = (edge == 0.0) | ~(np.isfinite(m) & (m.imag > 0))
+    m = np.where(cold, -1.0 / z, m)
     res = np.full(b, np.inf)
     idx = np.arange(b)
     cur = m
@@ -211,11 +230,12 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     """Smoothed density at every point of ``taus``, as one array.
 
     Each block of _BLOCK points is one call of the kernel _solve_block,
-    which starts every point at m = -1/z and converges it to an update
-    norm of _TOL within _MAX_SWEEPS sweeps.  Raises InputError when a
-    tau is not a finite real number; a block left unconverged raises the
-    kernel's ConvergenceError, naming the first point whose update norm
-    is not finite, or else the first point still running.
+    which starts every row of every point at the semicircle of its row
+    sum and converges it to an update norm of _TOL within _MAX_SWEEPS
+    sweeps.  Raises InputError when a tau is not a finite real number; a
+    block left unconverged raises the kernel's ConvergenceError, naming
+    the first point whose update norm is not finite, or else the first
+    point still running.
     """
     _check_type("s", s, VarianceMatrix)
     eta = _check_real("eta", eta)
@@ -236,13 +256,14 @@ def _first_past(s, taus, eta, threshold, above):
     false), or len(taus) if there is none.
 
     The densities come from density_scan, one block at a time, each
-    point cold-started, and the walk stops at the first block holding
-    such a point.  The blocks hold 4, 8 and 16 points, then 4 more to
-    reach _BLOCK, then _BLOCK each: every block doubles the points
-    walked so far, plus 4, but ends no later than the next multiple of
-    _BLOCK.  A walk from the edge ceiling mostly meets its answer within
-    a few points, where a 4-point block costs a fraction of a full one,
-    and no walk converges more points than one in blocks of _BLOCK.
+    point started afresh at its rows' semicircles, and the walk stops at
+    the first block holding such a point.  The blocks hold 4, 8 and 16
+    points, then 4 more to reach _BLOCK, then _BLOCK each: every block
+    doubles the points walked so far, plus 4, but ends no later than the
+    next multiple of _BLOCK.  A walk from the edge ceiling mostly meets
+    its answer within a few points, where a 4-point block costs a
+    fraction of a full one, and no walk converges more points than one
+    in blocks of _BLOCK.
     Warm starts from the previous block would save sweeps only on later
     blocks, which such a walk seldom reaches.
     """

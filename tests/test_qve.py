@@ -133,7 +133,8 @@ def test_solver_handles_the_atom_of_a_rectangular_gram_profile():
 
 
 def test_solver_domain_and_convergence_errors():
-    s = wigner_profile(5)
+    # not a constant-row-sum profile, whose semicircle start is exact
+    s = exp_profile(5)
     with pytest.raises(ConvergenceError) as err:
         solve(s, 0.1 + 1e-6j, tol=1e-14, cap=3)
     assert err.value.residual > 0
@@ -157,13 +158,80 @@ def test_scan_block_and_solver_raise_at_once_on_a_non_finite_update():
         with pytest.raises(ConvergenceError) as err:
             solve(huge, 1j, tol=1e-9, cap=200_000)
     assert err.value.iterations == 1
-    # from about 1e150 the weighted Anderson Gram matrix overflows, even
-    # where every update norm stays finite
-    for value, tau in [(1e150, 0.0), (1e308, 0.0), (1e308, 0.5)]:
-        s = VarianceMatrix(np.full((2, 2), value))
+    # row sums of 2e308 overflow, so those rows keep the start -1/z, and
+    # its S m overflows too
+    for tau in (0.0, 0.5):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            with pytest.raises(ConvergenceError):
-                density_scan(s, [tau])
+            with pytest.raises(ConvergenceError) as err:
+                density_scan(huge, [tau])
+        assert err.value.iterations == 1
+    # constant row sums of 2e150: the semicircle start is the solution,
+    # whose density at the origin is 1 / (pi sqrt(2e150))
+    got = density_scan(VarianceMatrix(np.full((2, 2), 1e150)), [0.0])[0]
+    assert got == pytest.approx(2.2507907903927653e-76, rel=1e-12)
+
+
+def start(entries, z):
+    """The kernel's start at z: a tolerance no update norm exceeds stops
+    every row after one sweep, holding the iterate it started from."""
+    return _solve_block(entries, np.array([complex(z)]), math.inf, 1)[0][0]
+
+
+def test_start_is_the_semicircle_of_constant_row_sums():
+    for s, z in [(wigner_profile(12), 2j),
+                 (VarianceMatrix(np.array([[0.3, 0.7], [0.7, 0.3]])), 3j)]:
+        np.testing.assert_allclose(start(s.entries, z), scalar_semicircle(z),
+                                   rtol=0, atol=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1.7976931348623157e308)),
+                     min_size=1, max_size=3),
+       tau=st.floats(-1e300, 1e300), eta=st.floats(1e-12, 1e6))
+def test_start_lies_in_the_upper_half_plane_or_is_minus_inverse_z(rows, tau, eta):
+    # a diagonal profile: each row's start depends on its row sum alone
+    z = complex(tau, eta)
+    m = start(np.diag(rows), z)
+    cold = -1.0 / np.complex128(z)  # NumPy's division, not Python's
+    for x, r in enumerate(rows):
+        assert m[x].imag > 0 or m[x] == cold, (r, m[x])
+        if r == 0.0:
+            assert m[x] == cold
+
+
+def test_start_neither_overflows_nor_warns_far_out():
+    # at |tau| past 1.3e154, z^2 overflows, and 4 r overflows for row sums
+    # past 4.5e307; the start forms neither, so no warning is raised
+    # (the suite turns warnings into errors) and far from the spectrum
+    # the density underflows to 0, as it did from the start -1/z
+    assert density_scan(exp_profile(20), [1e200]).tolist() == [0.0]
+    assert density_scan(exp_profile(20), [-1e300]).tolist() == [0.0]
+    s = VarianceMatrix(np.full((2, 2), 5e307))
+    assert density_scan(s, [1e200]).tolist() == [0.0]
+    # inside the spectrum of that row sum of 1e308 the start is the
+    # solution: density 1 / (pi 1e154)
+    assert density_scan(s, [0.0])[0] == pytest.approx(INV_PI * 1e-154, rel=1e-12)
+
+
+def test_semicircle_start_converges_in_few_sweeps(monkeypatch, wigner500):
+    # work guard: each row starts at its own semicircle, so the first
+    # block of the qve --csv grid on random300 (tau = 0, 0.05, ...)
+    # converges in at most 12 sweeps, and the support scan of wigner500,
+    # where the start is exact, in 1; from the start -1/z they take 36
+    # and 17
+    sweeps = []
+
+    def recording(entries, zb, tol, cap):
+        out = _solve_block(entries, zb, tol, cap)
+        sweeps.append(out[1])
+        return out
+
+    monkeypatch.setattr(qve, "_solve_block", recording)
+    density_scan(random_profile(300, seed=7), np.arange(qve._BLOCK) * 0.05, eta=1e-3)
+    assert len(sweeps) == 1 and sweeps[0] <= 12
+    sweeps.clear()
+    assert estimate_support(wigner500).value == 1.999
+    assert sweeps == [1]
 
 
 # ----------------------------------------------------------------- density
