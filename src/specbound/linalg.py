@@ -13,13 +13,13 @@ besides ``|S|`` itself.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import os
 import re
 import sys
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -306,7 +306,7 @@ def random_profile(n: int, seed: int) -> VarianceMatrix:
     return VarianceMatrix(a)
 
 
-_CSV_HEADER = re.compile(r"^n\s*=\s*(\d+)$")
+_HEADER = re.compile(r"^(n\s*=\s*)?(\d+)$")
 
 
 def load_dense(path) -> np.ndarray:
@@ -318,48 +318,45 @@ def load_dense(path) -> np.ndarray:
       separated row per line;
     * csv: a header ``n=<rows>`` followed by comma separated rows.
 
-    Rows may be rectangular (all the same length).  Malformed content
-    raises InputError with the offending line.
+    Blank and whitespace-only lines are skipped, and each entry is read
+    by ``float()``.  Rows may be rectangular (all the same length).
+    Malformed content raises InputError naming the file; for a bad entry
+    or row length it gives numpy's reason with its row and column, rows
+    counted from the first one after the header, blank lines left out.
     """
     try:
-        text = Path(_check_type("path", path, str, os.PathLike)).read_text()
+        with open(_check_type("path", path, str, os.PathLike)) as f:
+            lines = (ln for ln in f if ln.strip())
+            head = next(lines, "").strip()
+            if not head:
+                raise InputError(f"{path}: file is empty")
+            m = _HEADER.match(head)  # \d is str.isdecimal: int() reads it
+            if not m:
+                raise InputError(f"{path}: first line must be a row count "
+                                 f"or 'n=<rows>', got {head!r}")
+            nrows, sep = int(m.group(2)), "," if m.group(1) else None
+            if nrows < 1:
+                raise InputError(f"{path}: row count must be positive")
+            # loadtxt warns on an empty body, so a header alone stops here
+            first = next(lines, None)
+            if first is None:
+                raise InputError(f"{path}: expected {nrows} rows, found 0")
+            a = np.loadtxt(itertools.chain([first], lines), delimiter=sep,
+                           comments=None, converters=float, ndmin=2)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not a text file: {exc}") from None
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise InputError(f"{path}: file is empty")
-    head = lines[0]
-    m = _CSV_HEADER.match(head)
-    if m:
-        nrows, sep = int(m.group(1)), ","
-    elif head.isdecimal():  # isdigit() also passes '²', which int() rejects
-        nrows, sep = int(head), None
-    else:
-        raise InputError(
-            f"{path}: first line must be a row count or 'n=<rows>', got {head!r}"
-        )
-    body = lines[1:]
-    if nrows < 1:
-        raise InputError(f"{path}: row count must be positive")
-    if len(body) != nrows:
-        raise InputError(f"{path}: expected {nrows} rows, found {len(body)}")
-    rows = []
-    for i, line in enumerate(body, start=2):
-        try:
-            row = [float(tok) for tok in line.split(sep)]
-        except ValueError as exc:
-            raise InputError(f"{path}: line {i}: {exc}") from None
-        if rows and len(row) != len(rows[0]):
-            raise InputError(
-                f"{path}: line {i}: expected {len(rows[0])} values, found {len(row)}"
-            )
-        rows.append(row)
-    return np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    if len(a) != nrows:
+        raise InputError(f"{path}: expected {nrows} rows, found {len(a)}")
+    return a
 
 
 def load_matrix(path, repair: bool = False) -> VarianceMatrix:
     """Read a square variance profile from a text file."""
-    return VarianceMatrix(load_dense(path), repair=repair)
+    a = load_dense(path)
+    a.setflags(write=False)  # hand the array over: VarianceMatrix adopts it
+    return VarianceMatrix(a, repair=repair)
 
 
 def resolve_profile(name: str, n: int | None = None, seed: int | None = None,

@@ -467,6 +467,15 @@ def test_load_rectangular_for_gram(tmp_path):
         b"n=2\n1,2\n",            # csv missing row
         b"\xff\xfe2\n1 2\n",       # not UTF-8
         "\u00b2\n1\n".encode(),     # superscript two: isdigit() but not int()
+        b"2\n",                   # header only: no loadtxt empty-input warning
+        b"n=2\n\n   \n",           # csv header, then blank lines only
+        # entries that float() refuses
+        b"1\n0x10\n",
+        b"1\n1,\n",
+        b"1\n1 #c\n",
+        b'1\n"1"\n',
+        b"1\nTrue\n",
+        b"1\n1j\n",
     ],
 )
 def test_load_rejects_malformed_files(tmp_path, content):
@@ -474,6 +483,36 @@ def test_load_rejects_malformed_files(tmp_path, content):
     p.write_bytes(content)
     with pytest.raises(InputError):
         load_dense(p)
+
+
+# Each entry is read by float(), so what float() accepts is a valid entry;
+# rows are split on any whitespace, or on commas after an n= header.
+@pytest.mark.parametrize(
+    "content,expected",
+    [
+        ("1\n1_0\n", [[10.0]]),
+        ("1\n\u0661\n", [[1.0]]),          # Arabic-Indic digit one
+        ("1\n+1.5\n", [[1.5]]),
+        ("1\n.5\n", [[0.5]]),
+        ("1\n1.\n", [[1.0]]),
+        ("1\nInfinity\n", [[np.inf]]),
+        ("1\n-nan\n", [[float("-nan")]]),
+        ("1\n1e400\n", [[np.inf]]),
+        ("2\n1\t2\n3\t4\n", [[1, 2], [3, 4]]),
+        ("2\n1\u00a02\n3\u00a04\n", [[1, 2], [3, 4]]),  # no-break space
+        ("2\r\n1 2\r\n3 4\r\n", [[1, 2], [3, 4]]),
+        ("n = 2\n1,2\n3,4\n", [[1, 2], [3, 4]]),
+        ("\n2\n\n1 2\n \t\n3 4\n\n", [[1, 2], [3, 4]]),
+        ("  \nn=2\n\n1,2\n   \n3,4\n \n", [[1, 2], [3, 4]]),
+    ],
+)
+def test_load_reads_entries_with_float(tmp_path, content, expected):
+    p = tmp_path / "m.txt"
+    p.write_bytes(content.encode())
+    a = load_dense(p)
+    want = np.array(expected, dtype=float)
+    assert a.shape == want.shape and a.flags.writeable
+    assert a.tobytes() == want.tobytes()  # the sign of -nan included
 
 
 def test_load_asymmetric_square_raises_with_indices(tmp_path):

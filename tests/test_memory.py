@@ -1,8 +1,9 @@
-"""Peak-memory guards for the large-N moment path and the MC sampler.
+"""Peak-memory guards for the large-N moment path, the file reader and
+the MC sampler.
 
-A profile is one n-by-n float64 array (8 n^2 bytes): the generator
-builds it in place and VarianceMatrix adopts it without a copy, and the
-norm sequence and moment recursion add only O(J n + kmax n). An MC
+A profile is one n-by-n float64 array (8 n^2 bytes): the generator, or
+the file reader, builds it and VarianceMatrix adopts it without a copy,
+and the norm sequence and moment recursion add only O(J n + kmax n). An MC
 experiment holds the entry scales sqrt(S), one profile, and in each
 trial one draw and the eigensolver's copy of it, one profile each in
 the real-symmetric ensemble and two in the complex-hermitian one. Each
@@ -16,7 +17,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from specbound.linalg import random_profile
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -53,6 +57,24 @@ def peak_bytes():
 random_profile(2, 0)
 base = peak_bytes()
 s = random_profile(2000, 7)
+print(json.dumps({"base": base, "peak": peak_bytes()}))
+"""
+
+
+# A 2-by-2 file is read once before the baseline is taken, so that the
+# imports loadtxt makes fall before it. The profile is the one array
+# loadtxt fills, which VarianceMatrix adopts.
+FILE_CHILD = """
+import json, resource, sys
+from specbound.linalg import load_matrix
+
+def peak_bytes():
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss if sys.platform == "darwin" else rss * 1024
+
+load_matrix(sys.argv[1])
+base = peak_bytes()
+s = load_matrix(sys.argv[2])
 print(json.dumps({"base": base, "peak": peak_bytes()}))
 """
 
@@ -99,6 +121,15 @@ def test_random_profile_peak_is_one_profile():
     # a boolean n-by-n mask in a check would add 1/8 of a profile
     growth = peak_growth(PROFILE_CHILD, 2000)
     assert growth < 1.06, f"peak grew by {growth:.3f} profiles of 8 n^2 bytes"
+
+
+def test_load_matrix_peak_below_two_profiles(tmp_path):
+    # a parse that holds a Python float per entry grows by 12 profiles
+    small, large = tmp_path / "small.txt", tmp_path / "large.txt"
+    small.write_text("2\n1 0\n0 1\n")
+    np.savetxt(large, random_profile(1000, 7).entries, header="1000", comments="")
+    growth = peak_growth(FILE_CHILD, 1000, str(small), str(large))
+    assert growth < 2.0, f"peak grew by {growth:.2f} profiles of 8 n^2 bytes"
 
 
 @pytest.mark.parametrize("ensemble,limit", [
