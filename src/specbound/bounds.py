@@ -81,7 +81,12 @@ def support_bound(s: VarianceMatrix, J: int = 50) -> BoundReport:
     """Compute trivial and improved support bounds for a profile.
 
     ``J`` is the number of norm sequence terms used; deeper sequences can
-    only tighten the improved bound.
+    only tighten the improved bound.  The sequence costs
+    min(J, steps until its Collatz-Wielandt bracket closes) + 1
+    matrix-vector products (see ``norm_sequence``), so a deep J is cheap
+    unless the profile is a reducible union of blocks of different
+    radii.  The terms past the close are upper estimates, and a larger
+    z_j only lowers w_c, so the improved bound stays an upper bound.
     """
     ns = norm_sequence(s, J)
     wc = critical_w(ns)

@@ -203,6 +203,11 @@ class NormSequence:
 
 _TINY = float(np.finfo(float).tiny)
 
+# Relative width at which norm_sequence's bracket [lo, hi] of two-step
+# ratios counts as closed: near roundoff.  A term filled k double steps
+# past the close is within a factor (1 + _CLOSED)^k of the full loop's.
+_CLOSED = 1e-14
+
 
 def inf_norm(s: VarianceMatrix) -> float:
     """Max row sum norm of a variance profile.
@@ -224,23 +229,57 @@ def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
     """Compute z_j = |S^j| / |S|^j for j = 1..J without forming powers.
 
     Uses the iteration u_0 = all-ones, u_j = S u_{j-1} / |S|, for which
-    max(u_j) = z_j.  Cost is J matrix-vector products; values are clamped
-    into (0, 1] to absorb roundoff at the top end, and floored at the
-    smallest positive normal double where the iteration underflows.
-    z_j is nonincreasing, so the floor is an upper bound on every value
-    it replaces and the bound computed from the sequence stays valid.
+    max(u_j) = z_j.  At every even j the ratios u_j / u_{j-2} over the
+    rows where u_{j-2} > 0 are bracketed by [lo, hi] (Collatz-Wielandt).
+    As S >= 0, u_j <= hi u_{j-2} gives z_{j+2k} <= hi^k z_j and
+    z_{j-1+2k} <= hi^k z_{j-1}, so once the bracket closes to roundoff
+    the remaining terms are filled from those two values and powers of
+    hi, and the loop ends.  A filled term is an upper estimate of the
+    true one, as the floor below is, so the bound computed from the
+    sequence stays valid.  Two steps apart, the iterates of a bipartite
+    (Gram) profile, which alternate, settle too; on a reducible union of
+    blocks of different radii the bracket never closes.  Cost is
+    min(J, steps until the bracket closes) + 1 matrix-vector products,
+    the one being |S|: a handful on most profiles, whatever J is.
+
+    Values are clamped into (0, 1] to absorb roundoff at the top end,
+    and floored at the smallest positive normal double where the
+    iteration underflows.  z_j is nonincreasing, so the floor is an
+    upper bound on every value it replaces.
     """
     J = _check_int("J", J, 1)
     entries = _check_type("s", s, VarianceMatrix).entries
-    u = np.ones(s.n)
     norm = inf_norm(s)
     if norm == 0.0:
         raise InputError("the zero matrix has no norm sequence")
     z = np.empty(J)
-    for j in range(J):
-        u = (entries @ u) / norm
-        z[j] = min(max(u.max(), _TINY), 1.0)
+    older, old, old_top = None, np.ones(s.n), 1.0  # u_{j-2}, u_{j-1}, max(u_{j-1})
+    # a row where u_{j-2} = 0 gives the ratio 0/0 = NaN, which fmax and fmin
+    # skip, or x/0 = inf, which keeps the bracket open (lo stays finite:
+    # u_{j-2} = 0 on every row makes u_j = 0 and hi NaN)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(1, J + 1):
+            u = (entries @ old) / norm
+            top = u.max()
+            z[j - 1] = min(max(top, _TINY), 1.0)
+            if j % 2 == 0:
+                ratio = u / older
+                hi = np.fmax.reduce(ratio)
+                if hi <= np.fmin.reduce(ratio) * (1.0 + _CLOSED):
+                    _fill_tail(z[j:], old_top, top, hi)
+                    break
+            older, old, old_top = old, u, top
     return NormSequence(norm_s=norm, z=z)
+
+
+def _fill_tail(tail, z_prev, z_j, hi):
+    """Fill ``tail``, the terms after z_j, with their upper estimates
+    hi^k z_{j-1} and hi^k z_j (k = 1, 2, ...), alternately; ``z_prev``
+    and ``z_j`` are z_{j-1} and z_j before the clamp."""
+    powers = hi ** np.arange(1, (len(tail) + 1) // 2 + 1)
+    tail[0::2] = z_prev * powers
+    tail[1::2] = z_j * powers[:len(tail) // 2]
+    np.clip(tail, _TINY, 1.0, out=tail)
 
 
 def gram_linearize(rect) -> VarianceMatrix:

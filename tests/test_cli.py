@@ -498,6 +498,15 @@ def test_mc_rerun_reproduces_trials(capsys):
     assert a["per_trial"] == b["per_trial"]
 
 
+def src_env(**extra):
+    """The parent's environment with ``extra`` set and src/ first on
+    PYTHONPATH: the child imports this checkout's package, installed or not."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
 # An address-space cap set in a fresh interpreter, before numpy loads:
 # each request then fails at allocation on any host, whatever its
 # overcommit policy, and no page of the array is ever touched.
@@ -517,11 +526,9 @@ sys.exit(run(sys.argv[1:]))
     (["bound", "--profile", "wigner", "--n", "4", "--j", "100000000000"], "745. GiB"),
 ], ids=["csv-step", "grid-step", "n", "j"])
 def test_unallocatable_input_is_an_input_error(tmp_path, argv, size):
-    env = dict(os.environ, SPECBOUND_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", CAPPED, *argv], cwd=tmp_path,
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True,
+                          env=src_env(SPECBOUND_THREADS="1"), timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: Unable to allocate {size}")
@@ -531,7 +538,7 @@ def test_unallocatable_input_is_an_input_error(tmp_path, argv, size):
 # -------------------------------------------------------------- entry points
 
 def test_module_entry_point_and_thread_cap():
-    env = dict(os.environ, SPECBOUND_THREADS="2")
+    env = src_env(SPECBOUND_THREADS="2")
     proc = subprocess.run(
         [sys.executable, "-m", "specbound.cli", "bound",
          "--profile", "wigner", "--n", "4", "--j", "2"],
@@ -545,7 +552,7 @@ def test_module_entry_point_and_thread_cap():
 def test_version_flag():
     proc = subprocess.run(
         [sys.executable, "-m", "specbound.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0
     assert "specbound" in proc.stdout

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from specbound.bounds import support_bound
+from specbound.bounds import critical_w, support_bound
 from specbound.errors import InputError, NumericError
 from specbound.linalg import (
     VarianceMatrix,
@@ -140,6 +140,156 @@ def test_norm_sequence_leaves_the_callers_array_writeable():
     assert not ns.z.flags.writeable
     z[1] = 0.75
     assert ns.z[1] == 0.5
+
+
+# ------------------------------------------- norm_sequence's certified tail
+
+def full_norm_sequence(s, J):
+    """Reference: z from all J products u_j = S u_{j-1} / |S|, with
+    norm_sequence's clamp and floor but no early stop."""
+    norm = inf_norm(s)
+    u, z = np.ones(s.n), np.empty(J)
+    for j in range(J):
+        u = (s.entries @ u) / norm
+        z[j] = min(max(u.max(), np.finfo(float).tiny), 1.0)
+    return NormSequence(norm_s=norm, z=z)
+
+
+def block_union(*blocks):
+    """Block-diagonal matrix of the given square blocks: a reducible profile."""
+    n = sum(len(b) for b in blocks)
+    a, i = np.zeros((n, n)), 0
+    for b in blocks:
+        a[i:i + len(b), i:i + len(b)] = b
+        i += len(b)
+    return a
+
+
+def star_weights(n, seed):
+    """Hub-and-spokes matrix with random spoke weights: bipartite."""
+    w = np.random.default_rng(seed).random(n - 1) + 0.01
+    a = np.zeros((n, n))
+    a[0, 1:] = a[1:, 0] = w
+    return a
+
+
+def certificate_profile(kind, n, seed):
+    """Nonnegative symmetric matrix of one of the shapes on which the
+    certificate stops early (dense), late (zero rows, Gram, star) or
+    never (a union of blocks of different radii)."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return symmetric_nonneg(n, seed)
+    if kind == "zero-rows":
+        a = symmetric_nonneg(n, seed)
+        dead = rng.random(n) < 0.3
+        dead[0] = False
+        a[dead] = 0.0
+        a[:, dead] = 0.0
+        return a
+    if kind == "gram":
+        return gram_linearize(rng.random((n, int(rng.integers(1, 9))))).entries
+    if kind == "star":
+        return star_weights(n, seed)
+    return block_union(symmetric_nonneg(n, seed), star_weights(n, seed + 1))
+
+
+KINDS = ["dense", "zero-rows", "gram", "star", "union"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 10),
+       seed=st.integers(0, 10_000), J=st.integers(1, 40))
+def test_certified_tail_matches_every_product(kind, n, seed, J):
+    a = certificate_profile(kind, n, seed)
+    s = VarianceMatrix(a)
+    z = norm_sequence(s, J).z
+    _, zref = dense_norm_sequence(a, J)
+    np.testing.assert_allclose(z, zref, rtol=1e-12)
+    np.testing.assert_allclose(z, full_norm_sequence(s, J).z, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 10),
+       seed=st.integers(0, 10_000), J=st.integers(1, 60),
+       log_scale=st.floats(-8.0, 8.0))
+def test_norm_sequence_and_bound_are_scale_equivariant(kind, n, seed, J, log_scale):
+    # the ratios the certificate compares do not depend on the scale, so
+    # neither does the step where it stops
+    c = 10.0 ** log_scale
+    a = certificate_profile(kind, n, seed)
+    s, cs = VarianceMatrix(a), VarianceMatrix(c * a)
+    np.testing.assert_allclose(norm_sequence(cs, J).z, norm_sequence(s, J).z,
+                               rtol=1e-12)
+    assert support_bound(cs, J).improved_bound == pytest.approx(
+        np.sqrt(c) * support_bound(s, J).improved_bound, rel=1e-12, abs=0)
+
+
+def toeplitz_profile(n):
+    """S_xy = exp(-|x - y| / (0.1 n)) / n."""
+    i = np.arange(n)
+    return VarianceMatrix(np.exp(-np.abs(i[:, None] - i) / (0.1 * n)) / n)
+
+
+# ROADMAP's table of reference profiles, and a star whose z_j reach the
+# floor before J = 250
+ROADMAP_FAMILIES = {
+    "exp500": lambda: exp_profile(500),
+    "wigner500": lambda: wigner_profile(500),
+    "random100": lambda: random_profile(100, 7),
+    "random2000": lambda: random_profile(2000, 7),
+    "gram60x120": lambda: gram_linearize(
+        np.random.default_rng(0).random((60, 120)) / 120),
+    "constant-gram": lambda: gram_linearize(np.full((60, 120), 1 / 120)),
+    "toeplitz500": lambda: toeplitz_profile(500),
+    "star1000": lambda: VarianceMatrix(star_weights(1000, 0)),
+}
+
+
+@pytest.mark.parametrize("make", ROADMAP_FAMILIES.values(), ids=ROADMAP_FAMILIES)
+def test_certified_bound_equals_the_full_loops(make):
+    s = make()
+    rep = support_bound(s, J=250)
+    full = full_norm_sequence(s, 250)
+    w_c = critical_w(full)
+    assert rep.w_c == pytest.approx(w_c, rel=1e-12, abs=0)
+    assert rep.improved_bound == pytest.approx(
+        2.0 * np.sqrt(full.norm_s) / w_c, rel=1e-12, abs=0)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts the products with a profile's entries: |S| and the
+    sequence's matrix-vector products."""
+    count = [0]
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            count[0] += 1
+            return np.asarray(self) @ other
+
+    fget = VarianceMatrix.entries.fget
+    monkeypatch.setattr(VarianceMatrix, "entries",
+                        property(lambda s: fget(s).view(Counting)))
+    return count
+
+
+def test_certificate_stops_random2000_within_20_products(products):
+    s = random_profile(2000, 7)
+    products[0] = 0
+    norm_sequence(s, 250)
+    assert products[0] <= 20
+
+
+def test_certificate_never_stops_on_a_reducible_union(products):
+    # the Gram block's ratios stay at 1/400 and the Wigner block's at 1
+    a = block_union(gram_linearize(np.full((1, 400), 1 / 400)).entries,
+                    wigner_profile(300).entries)
+    s = VarianceMatrix(a)
+    products[0] = 0
+    z = norm_sequence(s, 50).z
+    assert products[0] == 51
+    np.testing.assert_array_equal(z, full_norm_sequence(s, 50).z)
 
 
 # --------------------------------------------------------- gram_linearize
