@@ -362,6 +362,9 @@ def load_dense(path) -> np.ndarray:
     Malformed content raises InputError naming the file; for a bad entry
     or row length it gives numpy's reason with its row and column, rows
     counted from the first one after the header, blank lines left out.
+    numpy counts them two ways: a bad second entry of the first row
+    reads "at row 0, column 2" (rows from 0, columns from 1), a short second
+    row "at row 2" (rows from 1).
     """
     try:
         with open(_check_type("path", path, str, os.PathLike)) as f:

@@ -25,7 +25,12 @@ complex upper half-plane", cited as [AEK]).  It iterates until every
 point of the block has converged (none is abandoned early), and
 otherwise raises ConvergenceError; no other code raises it.
 The support scan reads its densities from density_scan, so both scans
-converge to the one tolerance _TOL within the one budget _MAX_SWEEPS.
+converge to the one update norm _TOL / sqrt(|S|), with |S| the max row
+sum, within the one budget _MAX_SWEEPS.  The solution scales as
+m_{aS}(z) = m_S(z / sqrt(a)) / sqrt(a) [AEK], so that tolerance is one
+relative accuracy at every scale, and the scans are scale-covariant bit
+for bit: scaling S by 16^k and z by 4^k is exact in binary, and scales
+every density by exactly 4^-k.
 
 The support scan starts from a certified ceiling on the edge rather
 than from the row-sum bound: max_x (1/u_x + (S u)_x) at any computed
@@ -62,8 +67,9 @@ __all__ = ["SupportEstimate", "density", "density_scan", "estimate_support",
 # 2 (_DEPTH + 1) _BLOCK n complex numbers on top of the profile.
 _BLOCK = 32
 _DEPTH = 3
-# sweep budget and update-norm tolerance of every block the scans
-# iterate (density_scan, and estimate_support through it)
+# sweep budget of every block the scans iterate (density_scan, and
+# estimate_support through it), and their update-norm tolerance in units
+# of 1/sqrt(|S|), the scale of m
 _MAX_SWEEPS = 300_000
 _TOL = 1e-9
 # relative bracket width of the edge ceiling's bisection, and the steps
@@ -231,21 +237,28 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
 
     Each block of _BLOCK points is one call of the kernel _solve_block,
     which starts every row of every point at the semicircle of its row
-    sum and converges it to an update norm of _TOL within _MAX_SWEEPS
-    sweeps.  Raises InputError when a tau is not a finite real number; a
-    block left unconverged raises the kernel's ConvergenceError, naming
-    the first point whose update norm is not finite, or else the first
-    point still running.
+    sum and converges it to an update norm of _TOL / sqrt(|S|) within
+    _MAX_SWEEPS sweeps.  m scales as 1/sqrt(|S|), so the scan is
+    scale-covariant: on 16^k S at 4^k taus and 4^k eta it returns
+    exactly 4^-k times the densities on S (a max row sum that overflows
+    gives tolerance 0, which the kernel's first sweep raises on; the
+    zero profile keeps its exact start -1/z).  Raises InputError when a
+    tau is not a finite real number; a block left unconverged raises the
+    kernel's ConvergenceError, naming the first point whose update norm
+    is not finite, or else the first point still running.
     """
     _check_type("s", s, VarianceMatrix)
     eta = _check_real("eta", eta)
     taus = _real_array("taus", taus).ravel()
     if not np.isfinite(taus).all():
         raise InputError(f"taus must be finite, got {taus[~np.isfinite(taus)][0]}")
+    # m scales as 1/sqrt(|S|); an overflowed |S| gives tolerance 0, the zero profile inf
+    with np.errstate(over="ignore", divide="ignore"):
+        tol = _TOL / np.sqrt(s.entries.sum(axis=1).max())
     out = np.empty(len(taus))
     for start in range(0, len(taus), _BLOCK):
         zb = taus[start:start + _BLOCK] + 1j * eta
-        m = _solve_block(s.entries, zb, _TOL, _MAX_SWEEPS)[0]
+        m = _solve_block(s.entries, zb, tol, _MAX_SWEEPS)[0]
         out[start:start + _BLOCK] = m.imag.mean(axis=1) / math.pi
     return out
 
@@ -302,7 +315,12 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     below the first one whose density is at most the threshold, or the
     last grid point if there is none.  Every density comes from
     density_scan, so a block left unconverged raises its
-    ConvergenceError naming the first such point.
+    ConvergenceError naming the first such point.  Like density_scan the
+    value is scale-covariant: on 16^k S with 4^k eta and grid_step and
+    4^-k threshold it is exactly 4^k times the value on S, unless the
+    walk runs off the top of either grid.  The top 2 sqrt(|S|) + 1 is
+    not covariant, as its + 1 is absolute: at k < 0 the grid holds up
+    to 4^-k times as many points.
     The zero profile has no spectrum to detect (its density is a spike
     at the origin that the smoothing would smear past the threshold), so
     it short-circuits to a not-found result.

@@ -317,6 +317,46 @@ def test_density_scan_rejects_non_finite_taus(tau):
         density_scan(wigner_profile(5), [tau, 0.5])
 
 
+# -------------------------------------------------------- scale covariance
+
+# m_{aS}(z) = m_S(z / sqrt(a)) / sqrt(a) [AEK], and the scans converge to
+# an update norm of _TOL / sqrt(|S|), one relative accuracy at every
+# scale.  Scaling S by 16^k and z by 4^k is exact in binary, so every
+# density moves by exactly 4^-k.
+COVARIANT_PROFILES = [exp_profile(20), random_profile(30, seed=7),
+                      gram_linearize(np.random.default_rng(0).random((8, 20)) / 20),
+                      exp_profile(500)]
+COVARIANT_IDS = ["exp20", "random30", "gram8x20", "exp500"]
+
+
+@pytest.mark.parametrize("s", COVARIANT_PROFILES, ids=COVARIANT_IDS)
+def test_density_scan_is_scale_covariant_to_the_bit(monkeypatch, s):
+    # an absolute tolerance stalls at small scales; a small budget makes
+    # such a kernel fail fast
+    monkeypatch.setattr(qve, "_MAX_SWEEPS", 3_000)
+    taus = np.arange(0.0, 4.0, 0.25)
+    unit = density_scan(s, taus, 1e-3)
+    for k in range(-15, 16):
+        a = 4.0**k
+        got = density_scan(VarianceMatrix(a * a * s.entries), a * taus, a * 1e-3)
+        assert np.array_equal(got * a, unit), k
+
+
+def test_density_scan_converges_far_from_unit_scale(monkeypatch):
+    # scales that are not powers of 16: an absolute tolerance of 1e-9
+    # accepted the start at 1e40, where |m| is about 1e-20, and read
+    # 0.19587; at 1e-24, where |m| is about 1e12, it spent its whole
+    # budget and raised
+    monkeypatch.setattr(qve, "_MAX_SWEEPS", 3_000)
+    s = exp_profile(20)
+    unit = pytest.approx(0.2062046479923206, rel=1e-12)
+    assert density_scan(s, [0.0], 1e-3)[0] == unit
+    big = density_scan(VarianceMatrix(1e40 * s.entries), [0.0], 1e17)[0]
+    assert big * 1e20 == unit
+    small = density_scan(VarianceMatrix(1e-24 * s.entries), [0.0], 1e-15)[0]
+    assert small * 1e-12 == unit
+
+
 # ---------------------------------------------------------------- support
 
 def test_support_estimate_semicircle_edge():
@@ -535,6 +575,19 @@ def test_support_scan_walks_up_from_the_ceiling(monkeypatch, s, threshold):
     highest = max(round(taus.max() / step) for taus in scanned)
     assert highest <= round(est.value / step) + qve._BLOCK
     assert est == estimate_support_loop(s, threshold=threshold)
+
+
+@pytest.mark.parametrize("s", COVARIANT_PROFILES, ids=COVARIANT_IDS)
+def test_support_estimate_is_scale_covariant_to_the_bit(s):
+    # eta and grid_step scale with the edge, 4^k, and the threshold with
+    # the density, 4^-k.  Only k >= 0: the grid runs to 2 sqrt(|S|) + 1,
+    # so at k = -10 it would hold about 1e9 points.
+    unit = estimate_support(s).value
+    for k in range(13):
+        a = 4.0**k
+        got = estimate_support(VarianceMatrix(a * a * s.entries), a * 1e-3,
+                               a * 1e-3, 1e-2 / a)
+        assert got.value == a * unit, k
 
 
 def test_support_estimate_rejects_a_grid_no_array_can_hold():
