@@ -37,11 +37,13 @@ than from the row-sum bound: max_x (1/u_x + (S u)_x) at any computed
 u > 0 bounds the edge from above [AEK], and each m_x is the Stieltjes
 transform of a measure with no mass above the edge, so the smoothed
 density falls as tau rises above the ceiling.
-That is the scan's one premise.  It walks from the lowest grid point at
-or above the ceiling: down to the first point whose density exceeds the
-threshold when the density there is at most the threshold, and
-otherwise up to the last point before the density falls to the
-threshold.  The answer mostly lies a few grid points from the start,
+That is the scan's one premise.  _edge_ceiling finds its u in one loop,
+an ascent on dual weights p that stops once a weak-duality lower bound
+on the edge comes within a relative _CEILING_WIDTH of the ceiling.  The
+scan walks from the lowest grid point at or above the ceiling: down to
+the first point whose density exceeds the threshold when the density
+there is at most the threshold, and otherwise up to the last point
+before the density falls to the threshold.  The answer mostly lies a few grid points from the start,
 so each walk converges its points in blocks that grow from 4 points to
 _BLOCK (see _first_past), which never converges more points than full
 blocks would.  density_scan itself, and with it the CSV scan, still
@@ -72,10 +74,10 @@ _DEPTH = 3
 # of 1/sqrt(|S|), the scale of m
 _MAX_SWEEPS = 300_000
 _TOL = 1e-9
-# relative bracket width of the edge ceiling's bisection, and the steps
-# of the monotone real iteration run at each of its trial points
-_CEILING_WIDTH = 5e-3
-_CEILING_STEPS = 60
+# relative width of the edge bracket [L(p), c(u)] at which the ceiling's
+# dual ascent stops, and its budget of steps, two products each
+_CEILING_WIDTH = 1e-4
+_CEILING_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -200,30 +202,34 @@ def _edge_ceiling(entries, hi):
     exists only at or above the edge [AEK].  ``hi`` must be such a bound
     already; the row-sum bound 2 sqrt(|S|) is c(1/sqrt(|S|)).
 
-    Bisects tau on [0, hi] to a relative bracket width of
-    _CEILING_WIDTH.  At each trial tau the iteration u -> 1/(tau - S u)
-    runs from 0 for at most _CEILING_STEPS steps; a denominator <= 0
-    means no positive solution at tau and moves the bracket up, and
-    otherwise it moves down.  The bracket only steers the search: the
-    result is the smallest c(u) over every positive iterate met, or hi.
+    Every p >= 0 with S p != 0 bounds the edge from below: each c(u) is
+    at least the p-weighted mean of 1/u + S u, whose least value over u,
+    reached at u = sqrt(p / S p), is L(p) = 2 sum_x sqrt(p_x (S p)_x) /
+    sum_x p_x, and the edge is the infimum of c(u) [AEK].  One ascent on
+    p, from p = 1, runs at most _CEILING_STEPS steps of two products
+    each.  A step forms u = sqrt(p / S p) and g = 1/u + S u, so that
+    max g is c(u) and the p-weighted mean of g is L(p); keeps the
+    smallest max g met; stops once that ceiling is at most L(p) (1 +
+    _CEILING_WIDTH); and otherwise moves to p g / max g.  The relative
+    width _CEILING_WIDTH holds only when that bracket closes: a loop
+    that spends its steps, or meets a max g that is not finite, returns
+    the smallest ceiling met, or hi.  A zero row has S p = 0 and takes
+    no part: its u_x is free, and 1/u_x falls to 0 as u_x grows.
     """
-    lo, best = 0.0, hi
+    p, best = np.ones(len(entries)), hi
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while hi - lo > _CEILING_WIDTH * hi:
-            tau = 0.5 * (lo + hi)
-            su = np.zeros(len(entries))
-            for _ in range(_CEILING_STEPS):
-                denom = tau - su
-                if not (denom > 0.0).all():
-                    lo = tau
-                    break
-                u = 1.0 / denom
-                su = entries @ u
-                cert = float((1.0 / u + su).max())
-                if cert < best:
-                    best = cert
-            else:
-                hi = tau
+        for _ in range(_CEILING_STEPS):
+            sp = entries @ p
+            live = sp > 0.0
+            u = np.where(live, np.sqrt(p / sp), 0.0)
+            g = np.where(live, 1.0 / u + entries @ u, 0.0)
+            top = float(g.max())
+            if not math.isfinite(top):
+                break
+            best = min(best, top)
+            if best <= p @ g / p.sum() * (1.0 + _CEILING_WIDTH):
+                break
+            p = p * g / top
     return best
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import specbound.qve as qve
 from _dyck import enumerate_trees
@@ -644,11 +644,66 @@ def test_edge_ceiling_of_constant_gram_profile_is_marchenko_pastur(rows, cols):
 @pytest.mark.parametrize("args", [
     (40, 20, 0.025, 0.025, 0.005), (30, 30, 1 / 30, 0.5 / 30, 0.2 / 30),
     (10, 50, 0.02, 0.02, 0.004), (10, 50, 0.05, 0.02, 0.002),
-    (50, 10, 0.02, 0.0, 0.1)])
+    (50, 10, 0.02, 0.0, 0.1), (1, 1, 1, 0, 0)])
 def test_edge_ceiling_of_two_block_profile(args):
+    # the last has a zero row, which takes no part in the ceiling
     edge = two_block_edge(*args)
     got = ceiling(block_profile(*args))
     assert edge * (1 - 1e-12) <= got <= edge * (1 + _CEILING_WIDTH)
+
+
+def test_edge_ceiling_of_a_union_of_equal_edges():
+    # a thin Gram block, edge 1 + sqrt(1/400), beside a Wigner block of
+    # row sum 1.05^2 / 4, the same edge: the union's edge is 1.05
+    g = gram_linearize(np.full((1, 400), 1 / 400)).entries
+    w = 1.05**2 / 4 * wigner_profile(300).entries
+    s = VarianceMatrix(np.block([[g, np.zeros((401, 300))],
+                                 [np.zeros((300, 401)), w]]))
+    assert 1.05 * (1 - 1e-12) <= ceiling(s) <= 1.05 * (1 + _CEILING_WIDTH)
+
+
+def test_edge_ceiling_that_spends_its_steps_stays_certified():
+    # weakly coupled rows: the ascent's bracket does not close within
+    # _CEILING_STEPS, so only the certificate is pinned, not the width
+    s = block_profile(1, 1, 1.16, 0.057, 1.156)
+    got = ceiling(s)
+    assert two_block_edge(1, 1, 1.16, 0.057, 1.156) <= got <= 2 * math.sqrt(inf_norm(s))
+
+
+@pytest.mark.parametrize("profile,most", [
+    (lambda: exp_profile(500), 100), (lambda: random_profile(2000, 7), 60),
+    (lambda: gram_linearize(np.random.default_rng(0).random((60, 120)) / 120), 100),
+    (lambda: wigner_profile(500), 2)], ids=["exp500", "random2000", "gram60x120", "wigner500"])
+def test_edge_ceiling_work_guard(profile, most):
+    # two products per step of the ascent; on wigner500 p = 1 closes the
+    # bracket at once, in one step
+    s, count = profile(), [0]
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            count[0] += 1
+            return np.asarray(self) @ other
+
+    _edge_ceiling(s.entries.view(Counting), 2 * math.sqrt(inf_norm(s)))
+    assert 2 <= count[0] <= most
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7), log_a=st.floats(-8.0, 8.0))
+def test_edge_ceiling_bounds_every_dual_lower_bound(data, n, log_a):
+    # weak duality: L(p) = 2 sum sqrt(p S p) / sum p <= edge <= ceiling
+    # for every p >= 0 with S p != 0, on profiles with zero entries and
+    # rows, at every scale
+    unit = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    a = np.array(data.draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
+    s = VarianceMatrix((a + a.T) / 2 * 10.0**log_a)
+    p = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
+    sp = s.entries @ p
+    assume((sp > 0).any())
+    lower = 2 * np.sqrt(p * sp).sum() / p.sum()
+    got = ceiling(s)
+    assert lower <= got * (1 + 1e-12)
+    assert got <= 2 * math.sqrt(inf_norm(s))
 
 
 @pytest.mark.parametrize("grid_step", [1e-3, 1e-2])
