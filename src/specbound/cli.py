@@ -6,7 +6,9 @@ density, ``mc`` samples random matrices and measures their largest
 eigenvalue, and ``report`` combines all three into one comparison. The
 scan's settings (--eta, --grid-step, --threshold) are ``qve``'s alone;
 ``report`` runs the scan at their defaults and echoes them in its
-``support_estimate``.
+``support_estimate``. It runs the moment proxy at the one depth
+kmax = 100 and echoes it as ``moment_kmax``, so every option of
+``report`` but the source is one of ``bound`` or ``mc``.
 
 Machine-readable output is JSON on stdout; the human summary goes to
 stderr so pipelines stay clean, and ``> report.json`` keeps it. Every
@@ -41,14 +43,19 @@ import numpy as np
 from . import __version__
 from .bounds import support_bound
 from .errors import InputError, NumericError
-from .linalg import _check_int, _check_real, resolve_profile
+from .linalg import _check_real, resolve_profile
 from .montecarlo import ENSEMBLES, McConfig, mc_experiment
 from .qve import (
+    _grid_points,
     density_scan,
     estimate_support,
     moment_recursion,
     support_from_moments,
 )
+
+# depth of report's moment proxy: the depth the moments-2000 benchmark
+# workload runs through the library
+_PROXY_KMAX = 100
 
 
 def _source_flags(parser):
@@ -126,8 +133,9 @@ def cmd_qve(args, s):
     else:
         lines = ["no density above the threshold; support not detected"]
     if args.csv:
-        taus = np.arange(0.0, max(est.grid_top, args.csv_step) + args.csv_step / 2,
-                         args.csv_step)
+        top = max(est.grid_top, args.csv_step) + args.csv_step / 2
+        _grid_points(top, args.csv_step, "a --csv-step grid")
+        taus = np.arange(0.0, top, args.csv_step)
         vals = density_scan(s, taus, eta=est.eta)
         rows = "\n".join(f"{t:.10g},{v:.10g}" for t, v in zip(taus, vals))
         Path(args.csv).write_text("tau,density\n" + rows + "\n")
@@ -145,12 +153,11 @@ def cmd_mc(args, s):
 
 
 def cmd_report(args, s):
-    # bad MC or depth settings fail before any stage runs
+    # bad MC settings fail before any stage runs
     cfg = McConfig(trials=args.trials, seed=args.seed, ensemble=args.ensemble)
-    kmax = _check_int("kmax", args.kmax, 1)
     # cheap stages first, so that a failing profile fails fast
     rep = support_bound(s, J=args.j)
-    table = moment_recursion(s, kmax=kmax)
+    table = moment_recursion(s, kmax=_PROXY_KMAX)
     proxy = support_from_moments(table)
     est = estimate_support(s)
     mc = mc_experiment(s, cfg)
@@ -161,11 +168,11 @@ def cmd_report(args, s):
         "J": rep.J,
         "support_estimate": asdict(est),
         "moment_proxy": proxy,
-        "moment_kmax": kmax,
+        "moment_kmax": _PROXY_KMAX,
         "mc": asdict(mc),
     }
     return fields, [
-        f"moment proxy    {proxy:.4f}   (kmax = {kmax})",
+        f"moment proxy    {proxy:.4f}   (kmax = {_PROXY_KMAX})",
         f"mc mean         {mc.mean:.4f} +/- {mc.std:.4f}   "
         f"({len(mc.per_trial)} trials, {mc.failures} failures)",
         f"support edge    {est.value:.4f}" + ("" if est.found else "   (not found)"),
@@ -211,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("report", help="combined comparison of all estimates")
     _source_flags(r)
     _bound_flags(r)
-    r.add_argument("--kmax", type=int, default=100,
-                   help="depth of the moment proxy (default 100)")
     _mc_flags(r)
     r.set_defaults(func=cmd_report)
     return p

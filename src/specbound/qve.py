@@ -297,6 +297,18 @@ def _first_past(s, taus, eta, threshold, above):
     return len(taus)
 
 
+def _grid_points(top, step, what):
+    """Number of grid points k * step, k = 0, 1, ..., in [0, top].
+
+    Raises InputError, its message starting with `what`, when a float64
+    array of that many points cannot fit the address space.
+    """
+    last = top / step
+    if not last < np.iinfo(np.intp).max // 8:
+        raise InputError(f"{what} of {last + 1:.4g} points is too large")
+    return int(math.floor(last)) + 1
+
+
 def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
                      grid_step: float = 1e-3,
                      threshold: float = 1e-2) -> SupportEstimate:
@@ -329,21 +341,17 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     to 4^-k times as many points.
     The zero profile has no spectrum to detect (its density is a spike
     at the origin that the smoothing would smear past the threshold), so
-    it short-circuits to a not-found result.
+    it short-circuits to a not-found result, on the grid from 0 to 1.
     """
     eta = _check_real("eta", eta)
     grid_step = _check_real("grid_step", grid_step)
     threshold = _check_real("threshold", threshold)
     norm = inf_norm(s)
-    if norm == 0.0:
-        return SupportEstimate(0.0, False, eta, grid_step, threshold, 0.0)
     bound = 2.0 * math.sqrt(norm)
     grid_top = bound + 1.0
-    last = grid_top / grid_step
-    # a float64 array of n_pts points must fit the address space
-    if not last < np.iinfo(np.intp).max // 8:
-        raise InputError(f"a scan grid of {last + 1:.4g} points is too large")
-    n_pts = int(math.floor(last)) + 1
+    if norm == 0.0:
+        return SupportEstimate(0.0, False, eta, grid_step, threshold, grid_top)
+    n_pts = _grid_points(grid_top, grid_step, "a scan grid")
     g0 = min(n_pts - 1, math.ceil(_edge_ceiling(s.entries, bound) / grid_step))
     taus = np.arange(n_pts, dtype=float) * grid_step
     g = g0 - _first_past(s, taus[g0::-1], eta, threshold, True)

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from specbound.cli import build_parser, run
+from specbound.linalg import resolve_profile
+from specbound.qve import moment_recursion, support_from_moments
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -187,9 +189,11 @@ def test_bound_requires_a_source(capsys):
     ("bound", ("--json", "report.json")),
     # the scan's settings are qve's alone
     ("report", ("--eta", "1e-3")), ("report", ("--grid-step", "1e-3")),
-    ("report", ("--threshold", "1e-3"))],
+    ("report", ("--threshold", "1e-3")),
+    # report runs the moment proxy at one depth
+    ("report", ("--kmax", "20"))],
     ids=["tol", "matrix", "json", "report-eta", "report-grid-step",
-         "report-threshold"])
+         "report-threshold", "report-kmax"])
 def test_bound_removed_flags_are_unrecognized(capsys, command, removed):
     with pytest.raises(SystemExit) as exc:
         run([command, "--profile", "wigner", "--n", "4", *removed])
@@ -216,6 +220,20 @@ def test_qve_zero_matrix_reports_not_found(tmp_path, capsys):
     assert payload["value"] == 0.0
     assert not payload["found"]
     assert "not detected" in err
+
+
+def test_qve_zero_matrix_csv_runs_to_one(tmp_path, capsys):
+    # the zero profile's grid runs from 0 to 2 sqrt(|S|) + 1 = 1 as well
+    f = tmp_path / "zeros.txt"
+    write_plain(f, [[0.0] * 2 for _ in range(2)])
+    csv_path = tmp_path / "scan.csv"
+    code, payload, _ = invoke(capsys, "qve", "--profile", str(f),
+                              "--csv", str(csv_path))
+    assert code == 0
+    assert payload["grid_top"] == 1.0
+    rows = csv_path.read_text().splitlines()
+    assert rows[0] == "tau,density" and len(rows) == 22
+    assert rows[-1].startswith("1,")
 
 
 def test_qve_density_that_never_reaches_the_threshold_is_not_found(capsys):
@@ -257,7 +275,7 @@ def test_qve_rejects_non_finite_scan_parameters(capsys, flag, value):
     assert flag[2:].replace("-", "_") in err
 
 
-@pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf", "1e-300"])
 def test_qve_rejects_bad_csv_step(tmp_path, capsys, step):
     csv_path = tmp_path / "scan.csv"
     code, _, err = invoke(capsys, "qve", "--profile", "wigner", "--n", "4",
@@ -312,7 +330,7 @@ GRAM_RUN_FLAGS = {
     "bound": [],
     "qve": [],
     "mc": ["--trials", "2"],
-    "report": ["--trials", "2", "--kmax", "20"],
+    "report": ["--trials", "2"],
 }
 
 
@@ -328,8 +346,7 @@ def test_gram_source_carries_note(tmp_path, capsys, command):
     assert "note:" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1"),
-                                        ("--kmax", "0")])
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1")])
 def test_report_checks_mc_flags_before_any_stage(monkeypatch, capsys, flag, value):
     import specbound.cli as cli
 
@@ -347,7 +364,7 @@ def test_report_overflow_is_a_numeric_failure(tmp_path, capsys):
     f = tmp_path / "huge.txt"
     write_plain(f, [[1000.0] * 3 for _ in range(3)])
     code, _, err = invoke(capsys, "report", "--profile", str(f),
-                          "--trials", "1", "--kmax", "100")
+                          "--trials", "1")
     assert code == 3
     assert "numeric failure" in err
 
@@ -392,6 +409,21 @@ def test_report_shares_flag_groups_with_qve_and_mc(capsys):
         for key in keys:
             assert report[key] == given[key], (sub, key)
     assert not {"eta", "grid_step", "threshold"} & report.keys()
+    # and it keeps no setting of its own
+    own = report.keys() - {"command", "func", "profile", "n", "profile_seed",
+                           "repair"}
+    assert own == {"j", "trials", "seed", "ensemble"}
+
+
+def test_report_moment_proxy_is_the_library_proxy_at_depth_100(capsys):
+    code, payload, err = invoke(capsys, "report", "--profile", "random",
+                                "--n", "8", "--profile-seed", "3",
+                                "--trials", "1")
+    assert code == 0
+    s, _ = resolve_profile("random", n=8, seed=3)
+    assert payload["moment_proxy"] == support_from_moments(moment_recursion(s, 100))
+    assert payload["moment_kmax"] == 100
+    assert "(kmax = 100)" in err
 
 
 def test_report_support_estimate_is_the_qve_payload(capsys):
@@ -472,8 +504,7 @@ def test_manifest_parameters_reconstruct_the_run(tmp_path, capsys):
          "--csv", str(csv_path), "--csv-step", "0.1"],
         ["mc", "--profile", "expprofile", "--n", "20", "--trials", "3",
          "--seed", "0", "--ensemble", "complex-hermitian"],
-        ["report", "--profile", f"gram:{rect}", "--j", "12", "--kmax", "20",
-         "--trials", "2"],
+        ["report", "--profile", f"gram:{rect}", "--j", "12", "--trials", "2"],
     ]
     # the near file warns that it was repaired, on both of its runs
     with pytest.warns(UserWarning, match="repaired"):

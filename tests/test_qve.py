@@ -370,6 +370,8 @@ def test_support_estimate_zero_profile_not_found():
     est = estimate_support(VarianceMatrix(np.zeros((6, 6))))
     assert est.value == 0.0
     assert not est.found
+    # the grid still runs to 2 sqrt(|S|) + 1
+    assert est.grid_top == 1.0
 
 
 def test_support_estimate_of_a_density_below_the_threshold_is_not_found():
