@@ -10,7 +10,9 @@ variance profile S is ``2 sqrt(|S|)``.  It is improved by the factor
 with z_0 = 1 and z_j the normalized norm sequence of S.  The closing
 term replaces every z_j beyond the computed horizon J by its upper bound
 1, so the root is always a valid (conservative) improvement factor and
-grows toward its limit as J increases.
+grows toward its limit as J increases.  The bisection returns the lower
+end of its final bracket, which never exceeds the root, so rounding the
+root cannot bring the improved bound below the edge.
 
 phi is strictly decreasing on [0, 2) with phi(0) = 1, phi(1) >= 0 and
 phi(w) -> -infinity as w -> 2, which makes bisection both safe and
@@ -49,10 +51,11 @@ def root_function(w: float, ns: NormSequence) -> float:
 def critical_w(ns: NormSequence) -> float:
     """Locate the root of phi by bisection on [0, 2).
 
-    The result is the midpoint of a bracket of width at most 1e-12,
-    reached after 41 halvings of [0, 2).  The bracket always holds the
-    root: NormSequence pins z_1 = 1 and every z_j > 0, so at the top
-    x = w/2 = 1 - 5e-15 phi is at most 1 - x - x^2 < 0.
+    The result is the lower end of a bracket of width at most 1e-12,
+    reached after 41 halvings of [0, 2): phi is positive there, so it
+    lies at most 1e-12 below the root and never above it.  The bracket
+    always holds the root: NormSequence pins z_1 = 1 and every z_j > 0,
+    so at the top x = w/2 = 1 - 5e-15 phi is at most 1 - x - x^2 < 0.
     """
     lo, hi = 0.0, 2.0 - 1e-14
     while hi - lo > _BRACKET:
@@ -61,7 +64,7 @@ def critical_w(ns: NormSequence) -> float:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2.0
+    return lo
 
 
 @dataclass(frozen=True)

@@ -56,17 +56,17 @@ def _tiles(n: int):
 
 
 def _check_matrix(a):
-    """Refuse ``a`` unless it is a nonempty finite square matrix; return the
-    first entry (x, y), row-major, where a != conj(a.T), or None. Builds no
-    n-by-n mask unless one differs: min and max propagate NaN and reach +-inf."""
+    """Refuse the real array ``a`` unless it is a nonempty finite square
+    matrix; return the first entry (x, y), row-major, where a != a.T, or
+    None. Builds no n-by-n mask unless one differs: min and max propagate
+    NaN and reach +-inf."""
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise InputError(f"expected a nonempty square matrix, got shape {a.shape}")
-    parts = (a.real, a.imag) if a.dtype.kind == "c" else (a,)
-    if not all(np.isfinite(p.min()) and np.isfinite(p.max()) for p in parts):
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
         raise InputError("matrix contains NaN or infinite entries")
-    if all(np.array_equal(a[r, c], a[c, r].conj().T) for r, c in _tiles(a.shape[0])):
+    if all(np.array_equal(a[r, c], a[c, r].T) for r, c in _tiles(a.shape[0])):
         return None
-    return tuple(int(i) for i in np.argwhere(a != a.conj().T)[0])
+    return tuple(int(i) for i in np.argwhere(a != a.T)[0])
 
 
 def _check_int(name, value, minimum):
@@ -100,19 +100,16 @@ def _check_type(name, value, *classes):
     return value
 
 
-def _real_array(name, value, copy=False, allow_complex=False):
+def _real_array(name, value, copy=False):
     """Return ``value`` as a float64 array, a new one when ``copy``; raise
-    InputError unless it is a rectangular array of integers or floats, or,
-    with ``allow_complex``, of complex numbers, returned as complex128."""
-    kinds, what = ("iufc", "real or complex") if allow_complex else ("iuf", "real")
+    InputError unless it is a rectangular array of integers or floats."""
     try:
         a = np.asarray(value)
     except (TypeError, ValueError) as exc:  # ragged
-        raise InputError(f"{name} must be {what} numbers: {exc}") from None
-    if a.dtype.kind not in kinds:  # not bools, text or objects
-        raise InputError(f"{name} must be {what} numbers, got dtype {a.dtype}")
-    dtype = complex if a.dtype.kind == "c" else float
-    return np.array(a, dtype=dtype) if copy else np.asarray(a, dtype=dtype)
+        raise InputError(f"{name} must be real numbers: {exc}") from None
+    if a.dtype.kind not in "iuf":  # not bools, complex numbers, text or objects
+        raise InputError(f"{name} must be real numbers, got dtype {a.dtype}")
+    return np.array(a, dtype=float) if copy else np.asarray(a, dtype=float)
 
 
 class VarianceMatrix:

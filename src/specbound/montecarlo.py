@@ -13,9 +13,9 @@ it is exact to roundoff and has no tolerance or iteration cap to tune.
 The eigensolver reads only the lower triangle of its input, so an
 experiment takes the entry scales sqrt(S) once and hands each draw to
 it as drawn (_draw), without mirroring it into a full matrix or
-checking its symmetry: the draw's lower triangle is the sample's bit
-for bit, so every trial's value equals
-``spectral_radius(sample_matrix(...))`` for the same stream exactly.
+checking its symmetry: the draw's lower triangle is exactly the
+sample's, so every trial's value equals the largest absolute eigenvalue
+of ``sample_matrix(...)`` for the same stream, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .linalg import VarianceMatrix, _check_int, _check_matrix, _check_type, _real_array
+from .linalg import VarianceMatrix, _check_int, _check_type
 
 __all__ = ["ENSEMBLES", "McConfig", "McResult", "mc_experiment",
-           "sample_matrix", "spectral_radius", "trial_rng"]
+           "sample_matrix", "trial_rng"]
 
 ENSEMBLES = ("real-symmetric", "complex-hermitian")
 
@@ -139,21 +139,6 @@ def sample_matrix(s: VarianceMatrix, ensemble: str,
 def _radius(h) -> float:
     # eigvalsh reads only the lower triangle of h
     return float(np.abs(np.linalg.eigvalsh(h)).max())
-
-
-def spectral_radius(h) -> float:
-    """Largest absolute eigenvalue of a symmetric/hermitian matrix.
-
-    Exact to roundoff, from ``numpy.linalg.eigvalsh``. Raises
-    ``numpy.linalg.LinAlgError`` if the eigensolver does not converge,
-    and InputError unless ``h`` is a nonempty square array of finite
-    real or complex numbers, as linalg checks a profile's entries.
-    """
-    h = _real_array("h", h, allow_complex=True)
-    bad = _check_matrix(h)
-    if bad is not None:
-        raise InputError(f"matrix is not symmetric/hermitian at entry {bad}")
-    return _radius(h)
 
 
 def mc_experiment(s: VarianceMatrix, cfg: McConfig) -> McResult:

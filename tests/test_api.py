@@ -81,6 +81,7 @@ def test_package_exports_the_union_of_the_module_lists():
     assert len(names) == len(set(names))
     assert set(PUBLIC) == set(names)
     assert "ENSEMBLES" in PUBLIC
+    assert "spectral_radius" not in PUBLIC
 
 
 def test_package_ships_the_runtime_modules_and_four_subcommands():

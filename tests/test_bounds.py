@@ -131,6 +131,11 @@ def test_wigner_report_is_sharp():
     assert abs(rep.trivial_bound - 2.0) < 1e-12
     assert abs(rep.improved_bound - 2.0) < 1e-10
     assert abs(rep.w_c - 1.0) < 1e-10
+    # the bound stays an upper bound of Wigner's edge 2 after rounding
+    for n in (1, 4, 100, 500):
+        rep = support_bound(wigner_profile(n))
+        assert rep.improved_bound >= 2.0, n
+        assert rep.w_c <= 1.0, n
 
 
 def test_exp500_report_frozen_values():

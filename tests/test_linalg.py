@@ -360,13 +360,21 @@ def test_constructor_rejects_non_square_and_nan():
     bad = np.full((2, 2), np.nan)
     with pytest.raises(InputError):
         VarianceMatrix(bad)
+    # the shared matrix gate: a non-finite entry is named as such, not as
+    # an asymmetry, and the empty matrix is refused
+    for bad in ([[np.nan]], [[np.inf]], [[0, np.inf], [np.inf, 0]]):
+        with pytest.raises(InputError, match="NaN or infinite"):
+            VarianceMatrix(np.array(bad))
+    with pytest.raises(InputError, match="nonempty square"):
+        VarianceMatrix(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("build", [VarianceMatrix, gram_linearize],
                          ids=["square", "gram"])
 @pytest.mark.parametrize("entries", [
     [[1 + 1j]], [[1, 2], [3]], [["a", "b"], ["c", "d"]],
-], ids=["complex", "ragged", "text"])
+    np.eye(2, dtype=bool), np.array([[None]]),
+], ids=["complex", "ragged", "text", "bool", "object"])
 def test_entries_that_are_not_real_numbers_are_input_errors(build, entries):
     # NumPy's own TypeError or ValueError never leaks out
     with pytest.raises(InputError, match="must be real numbers"):

@@ -18,9 +18,9 @@ from specbound.linalg import (
 )
 from specbound.montecarlo import (
     McConfig,
+    _radius,
     mc_experiment,
     sample_matrix,
-    spectral_radius,
     trial_rng,
 )
 
@@ -109,12 +109,13 @@ def test_sample_matrix_equals_the_two_triangle_reference(name, ensemble):
 @pytest.mark.parametrize("ensemble", ["real-symmetric", "complex-hermitian"])
 @pytest.mark.parametrize("name", MC_PROFILES)
 def test_experiment_equals_radii_of_public_samples(name, ensemble):
-    # the experiment's own draw path gives the public path's values bit
-    # for bit
+    # the experiment's own draw path gives the eigenvalues of the public
+    # samples bit for bit
     s = MC_PROFILES[name]
     res = mc_experiment(s, McConfig(trials=4, seed=13, ensemble=ensemble))
     assert res.per_trial == tuple(
-        spectral_radius(sample_matrix(s, ensemble, trial_rng(13, trial)))
+        float(np.abs(np.linalg.eigvalsh(
+            sample_matrix(s, ensemble, trial_rng(13, trial)))).max())
         for trial in range(4))
 
 
@@ -155,18 +156,20 @@ def test_entry_statistics_match_profile(ensemble):
 
 
 # --------------------------------------------------------- spectral radius
+# _radius is the package's one radius function: mc_experiment measures
+# every trial with it
 
 def test_spectral_radius_swap_matrix():
-    assert spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(
+    assert _radius(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(
         1.0, rel=1e-14)
 
 
 def test_spectral_radius_diagonal():
-    assert spectral_radius(np.diag([3.0, -5.0, 2.0])) == pytest.approx(5.0, rel=1e-14)
+    assert _radius(np.diag([3.0, -5.0, 2.0])) == pytest.approx(5.0, rel=1e-14)
 
 
 def test_spectral_radius_zero_matrix():
-    value = spectral_radius(np.zeros((4, 4)))
+    value = _radius(np.zeros((4, 4)))
     assert value == 0.0
     assert isinstance(value, float)
 
@@ -176,25 +179,14 @@ def test_spectral_radius_matches_jacobi_oracle():
     for n in (10, 35, 50):
         g = rng.standard_normal((n, n))
         h = (g + g.T) / 2
-        assert spectral_radius(h) == pytest.approx(jacobi_spectral_radius(h),
-                                                   rel=1e-12)
+        assert _radius(h) == pytest.approx(jacobi_spectral_radius(h), rel=1e-12)
 
 
 def test_spectral_radius_complex_hermitian_matches_oracle():
     h = sample_matrix(exp_profile(30), "complex-hermitian", trial_rng(8, 1))
-    assert spectral_radius(h) == pytest.approx(jacobi_spectral_radius(h), rel=1e-12)
+    assert _radius(h) == pytest.approx(jacobi_spectral_radius(h), rel=1e-12)
 
 
-def test_spectral_radius_rejects_asymmetric_input():
-    # the symmetry test is exact, so it cannot depend on the scale
-    for scale in (1.0, 1e-13, 1e13):
-        with pytest.raises(InputError):
-            spectral_radius(scale * np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(InputError):
-        spectral_radius(np.zeros((2, 3)))
-
-
-INF = np.inf
 REFUSED = {
     "float seed": lambda: trial_rng(1.5, 0),
     "float trial": lambda: trial_rng(0, 1.5),
@@ -203,36 +195,13 @@ REFUSED = {
     "bool seed": lambda: trial_rng(True, 0),
     "bool trial": lambda: trial_rng(0, True),
     "seed of 2**64": lambda: trial_rng(2**64, 0),
-    "text matrix": lambda: spectral_radius([["a", "b"], ["b", "a"]]),
-    "object matrix": lambda: spectral_radius(np.array([[None]])),
-    "ragged matrix": lambda: spectral_radius([[1.0], [1.0, 2.0]]),
-    "infinite entry": lambda: spectral_radius(np.array([[INF]])),
-    "symmetric infinities": lambda: spectral_radius(np.array([[0, INF], [INF, 0]])),
-    "bool matrix": lambda: spectral_radius(np.eye(2, dtype=bool)),
-    "empty matrix": lambda: spectral_radius(np.zeros((0, 0))),
 }
 
 
 @pytest.mark.parametrize("call", REFUSED.values(), ids=REFUSED)
-def test_trial_rng_and_spectral_radius_refuse_with_input_error(call):
+def test_trial_rng_refuses_with_input_error(call):
     with pytest.raises(InputError):
         call()
-
-
-@pytest.mark.parametrize("h", [[[np.nan]], [[1 + np.nan * 1j]], [[-INF, 0], [0, 1]]])
-def test_spectral_radius_names_a_non_finite_entry_not_asymmetry(h):
-    with pytest.raises(InputError, match="NaN or infinite"):
-        spectral_radius(np.array(h))
-
-
-def test_spectral_radius_names_the_first_asymmetric_entry():
-    h = np.zeros((3, 3), dtype=complex)
-    h[1, 2], h[2, 1] = 1j, 1j  # hermitian needs -1j at (2, 1)
-    with pytest.raises(InputError, match=r"hermitian at entry \(1, 2\)$"):
-        spectral_radius(h)
-    h[0, 0] = 1j  # a diagonal entry of a hermitian matrix is real
-    with pytest.raises(InputError, match=r"hermitian at entry \(0, 0\)$"):
-        spectral_radius(h)
 
 
 def test_trial_rng_takes_the_largest_seed_and_numpy_integers():
