@@ -85,7 +85,7 @@ def support_bound(s: VarianceMatrix, J: int = 50) -> BoundReport:
 
     ``J`` is the number of norm sequence terms used; deeper sequences can
     only tighten the improved bound.  The sequence costs
-    min(J, steps until its Collatz-Wielandt bracket closes) + 1
+    min(J, steps until its Collatz-Wielandt bracket closes)
     matrix-vector products (see ``norm_sequence``), so a deep J is cheap
     unless the profile is a reducible union of blocks of different
     radii.  The terms past the close are upper estimates, and a larger

@@ -124,10 +124,11 @@ class VarianceMatrix:
     an ndarray subclass) is copied into a new float64 array.  Either
     way every check runs.  With ``repair=True`` an almost valid input is
     fixed up (symmetrized, negatives clamped to zero) and a warning is
-    emitted instead of an error.
+    emitted instead of an error.  The row sums ``S 1`` are formed once
+    here, for every layer to read (see ``row_sums``).
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_row_sums")
 
     def __init__(self, entries, repair: bool = False):
         _check_type("repair", repair, bool)
@@ -160,10 +161,23 @@ class VarianceMatrix:
             warnings.warn(f"repaired input matrix: {', '.join(fixed)}", stacklevel=2)
         a.setflags(write=False)
         self._entries = a
+        with np.errstate(over="ignore"):
+            r = a @ np.ones(a.shape[0])
+        r.setflags(write=False)
+        self._row_sums = r
 
     @property
     def entries(self) -> np.ndarray:
         return self._entries
+
+    @property
+    def row_sums(self) -> np.ndarray:
+        """The read-only row sums ``S 1``, as ``entries @ np.ones(n)``.
+
+        The entries are finite, but a row sum past double-precision
+        range reads inf; ``inf_norm`` raises NumericError on it.
+        """
+        return self._row_sums
 
     @property
     def n(self) -> int:
@@ -207,14 +221,13 @@ _CLOSED = 1e-14
 
 
 def inf_norm(s: VarianceMatrix) -> float:
-    """Max row sum norm of a variance profile.
+    """Max row sum norm of a variance profile: the largest of its
+    ``row_sums``, read without a product.
 
     The entries are finite, but their row sums can leave
     double-precision range; that raises NumericError.
     """
-    _check_type("s", s, VarianceMatrix)
-    with np.errstate(over="ignore"):
-        norm = float((s.entries @ np.ones(s.n)).max())
+    norm = float(_check_type("s", s, VarianceMatrix).row_sums.max())
     if not np.isfinite(norm):
         raise NumericError(
             "max row sum |S| overflows double precision; rescale the profile and retry"
@@ -236,8 +249,9 @@ def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
     sequence stays valid.  Two steps apart, the iterates of a bipartite
     (Gram) profile, which alternate, settle too; on a reducible union of
     blocks of different radii the bracket never closes.  Cost is
-    min(J, steps until the bracket closes) + 1 matrix-vector products,
-    the one being |S|: a handful on most profiles, whatever J is.
+    min(J, steps until the bracket closes) matrix-vector products, as
+    |S| is read from the profile's row sums: a handful on most
+    profiles, whatever J is.
 
     Values are clamped into (0, 1] to absorb roundoff at the top end,
     and floored at the smallest positive normal double where the

@@ -75,7 +75,8 @@ _DEPTH = 3
 _MAX_SWEEPS = 300_000
 _TOL = 1e-9
 # relative width of the edge bracket [L(p), c(u)] at which the ceiling's
-# dual ascent stops, and its budget of steps, two products each
+# dual ascent stops, and its budget of steps, of two products each but
+# the first
 _CEILING_WIDTH = 1e-4
 _CEILING_STEPS = 100
 
@@ -96,17 +97,18 @@ class SupportEstimate:
     grid_top: float
 
 
-def _solve_block(entries, zb, tol, cap):
+def _solve_block(s, zb, tol, cap):
     """Converge every point of ``zb`` within ``cap`` sweeps of
-    Anderson-accelerated fixed-point iteration of m -> -1/(z + S m).
+    Anderson-accelerated fixed-point iteration of m -> -1/(z + S m) on
+    the profile ``s``.
 
     Row x of each point starts at its own semicircle m_x = -2 / (z + w),
-    where w^2 = z^2 - 4 r_x with r_x the row sum, on the root with
-    Re(conj(z) w) >= 0; it lies in the upper half-plane and solves the
-    system when every row sum is r_x.  w is formed as
-    sqrt(z - e_x) sqrt(z + e_x) from the semicircle's edge
-    e_x = 2 sqrt(r_x): a product of principal roots that is this root
-    and squares neither z nor r_x, so it does not overflow for any
+    where w^2 = z^2 - 4 r_x with r_x the row sum, read from
+    ``s.row_sums``, on the root with Re(conj(z) w) >= 0; it lies in the
+    upper half-plane and solves the system when every row sum is r_x.
+    w is formed as sqrt(z - e_x) sqrt(z + e_x) from the semicircle's
+    edge e_x = 2 sqrt(r_x): a product of principal roots that is this
+    root and squares neither z nor r_x, so it does not overflow for any
     finite row sum and |z| below about 9e307.  A row whose row sum is 0
     starts at exactly -1/z, its solution; so does a row whose formula is
     not finite or not in the upper half-plane (an overflowed row sum,
@@ -135,10 +137,10 @@ def _solve_block(entries, zb, tol, cap):
     is not finite.  It names the first running point whose update norm
     is not finite, or else the first running point.
     """
-    b, n = len(zb), entries.shape[0]
+    entries, b, n = s.entries, len(zb), s.n
     z = zb[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        edge = 2.0 * np.sqrt(entries.sum(axis=1))
+        edge = 2.0 * np.sqrt(s.row_sums)
         m = -2.0 / (z + np.sqrt(z - edge) * np.sqrt(z + edge))
     cold = (edge == 0.0) | ~(np.isfinite(m) & (m.imag > 0))
     m = np.where(cold, -1.0 / z, m)
@@ -192,8 +194,8 @@ def _solve_block(entries, zb, tol, cap):
     )
 
 
-def _edge_ceiling(entries, hi):
-    """Certified upper bound on the top of the spectrum of the profile.
+def _edge_ceiling(s, hi):
+    """Certified upper bound on the top of the spectrum of the profile ``s``.
 
     For every u > 0 the value c(u) = max_x (1/u_x + (S u)_x) is at least
     the edge: at tau = c(u) the vector u is a supersolution of the
@@ -206,21 +208,23 @@ def _edge_ceiling(entries, hi):
     at least the p-weighted mean of 1/u + S u, whose least value over u,
     reached at u = sqrt(p / S p), is L(p) = 2 sum_x sqrt(p_x (S p)_x) /
     sum_x p_x, and the edge is the infimum of c(u) [AEK].  One ascent on
-    p, from p = 1, runs at most _CEILING_STEPS steps of two products
-    each.  A step forms u = sqrt(p / S p) and g = 1/u + S u, so that
-    max g is c(u) and the p-weighted mean of g is L(p); keeps the
-    smallest max g met; stops once that ceiling is at most L(p) (1 +
-    _CEILING_WIDTH); and otherwise moves to p g / max g.  The relative
+    p, from p = 1, runs at most _CEILING_STEPS steps; one that stops at
+    step k makes 2 k - 1 products, as its first S p = S 1 is the
+    profile's row sums.  A step forms u = sqrt(p / S p) and
+    g = 1/u + S u, so that max g is c(u) and the p-weighted mean of g
+    is L(p); keeps the smallest max g met; stops once that ceiling is at
+    most L(p) (1 + _CEILING_WIDTH); and otherwise moves to p g / max g.  The relative
     width _CEILING_WIDTH holds only when that bracket closes: a loop
     that spends its steps, or meets a max g that is not finite, returns
-    the smallest ceiling met, or hi.  A zero row has S p = 0 and takes
-    no part: its u_x is free, and 1/u_x falls to 0 as u_x grows.
+    the smallest ceiling met, or hi.  A zero row, decided once from the
+    row sums, takes no part: its u_x is free, and 1/u_x falls to 0 as
+    u_x grows.
     """
-    p, best = np.ones(len(entries)), hi
+    entries = s.entries
+    p, sp, best = np.ones(s.n), s.row_sums, hi
+    live = sp > 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(_CEILING_STEPS):
-            sp = entries @ p
-            live = sp > 0.0
             u = np.where(live, np.sqrt(p / sp), 0.0)
             g = np.where(live, 1.0 / u + entries @ u, 0.0)
             top = float(g.max())
@@ -230,6 +234,7 @@ def _edge_ceiling(entries, hi):
             if best <= p @ g / p.sum() * (1.0 + _CEILING_WIDTH):
                 break
             p = p * g / top
+            sp = entries @ p
     return best
 
 
@@ -246,12 +251,14 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     sum and converges it to an update norm of _TOL / sqrt(|S|) within
     _MAX_SWEEPS sweeps.  m scales as 1/sqrt(|S|), so the scan is
     scale-covariant: on 16^k S at 4^k taus and 4^k eta it returns
-    exactly 4^-k times the densities on S (a max row sum that overflows
-    gives tolerance 0, which the kernel's first sweep raises on; the
-    zero profile keeps its exact start -1/z).  Raises InputError when a
-    tau is not a finite real number; a block left unconverged raises the
-    kernel's ConvergenceError, naming the first point whose update norm
-    is not finite, or else the first point still running.
+    exactly 4^-k times the densities on S.  The zero profile keeps its
+    exact start -1/z.  A max row sum that overflows (``row_sums`` reads
+    inf) gives tolerance 0, so a point stops only at an update norm of
+    exactly 0, and otherwise raises: within a few sweeps where S m
+    overflows, or once the whole budget is spent.  Raises InputError
+    when a tau is not a finite real number; a block left unconverged
+    raises the kernel's ConvergenceError, naming the first point whose
+    update norm is not finite, or else the first point still running.
     """
     _check_type("s", s, VarianceMatrix)
     eta = _check_real("eta", eta)
@@ -259,12 +266,12 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     if not np.isfinite(taus).all():
         raise InputError(f"taus must be finite, got {taus[~np.isfinite(taus)][0]}")
     # m scales as 1/sqrt(|S|); an overflowed |S| gives tolerance 0, the zero profile inf
-    with np.errstate(over="ignore", divide="ignore"):
-        tol = _TOL / np.sqrt(s.entries.sum(axis=1).max())
+    with np.errstate(divide="ignore"):
+        tol = _TOL / np.sqrt(s.row_sums.max())
     out = np.empty(len(taus))
     for start in range(0, len(taus), _BLOCK):
         zb = taus[start:start + _BLOCK] + 1j * eta
-        m = _solve_block(s.entries, zb, tol, _MAX_SWEEPS)[0]
+        m = _solve_block(s, zb, tol, _MAX_SWEEPS)[0]
         out[start:start + _BLOCK] = m.imag.mean(axis=1) / math.pi
     return out
 
@@ -352,7 +359,7 @@ def estimate_support(s: VarianceMatrix, eta: float = 1e-3,
     if norm == 0.0:
         return SupportEstimate(0.0, False, eta, grid_step, threshold, grid_top)
     n_pts = _grid_points(grid_top, grid_step, "a scan grid")
-    g0 = min(n_pts - 1, math.ceil(_edge_ceiling(s.entries, bound) / grid_step))
+    g0 = min(n_pts - 1, math.ceil(_edge_ceiling(s, bound) / grid_step))
     taus = np.arange(n_pts, dtype=float) * grid_step
     g = g0 - _first_past(s, taus[g0::-1], eta, threshold, True)
     if g == g0:

@@ -6,9 +6,10 @@ they are computed once and reused by every criterion that needs them.
 
 import time
 
+import numpy as np
 import pytest
 
-from specbound.linalg import exp_profile, random_profile, wigner_profile
+from specbound.linalg import VarianceMatrix, exp_profile, random_profile, wigner_profile
 from specbound.montecarlo import McConfig, mc_experiment
 from specbound.qve import estimate_support
 
@@ -22,6 +23,24 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts the products made with a profile's entries on the left,
+    such as the norm sequence's and the edge ceiling's matrix-vector
+    products.  The row sums that VarianceMatrix forms are not counted."""
+    count = [0]
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            count[0] += 1
+            return np.asarray(self) @ other
+
+    fget = VarianceMatrix.entries.fget
+    monkeypatch.setattr(VarianceMatrix, "entries",
+                        property(lambda s: fget(s).view(Counting)))
+    return count
 
 
 @pytest.fixture(scope="session")

@@ -62,8 +62,11 @@ def test_inf_norm_exponential_profile():
 
 def test_inf_norm_raises_when_a_row_sum_overflows():
     s = VarianceMatrix(np.full((2, 2), 1e308))
-    with pytest.raises(NumericError, match=r"max row sum \|S\| overflows"):
+    assert s.row_sums.tolist() == [np.inf, np.inf]
+    with pytest.raises(NumericError) as err:
         inf_norm(s)
+    assert str(err.value) == ("max row sum |S| overflows double precision; "
+                              "rescale the profile and retry")
     with pytest.raises(NumericError, match="overflows"):
         norm_sequence(s, 3)
 
@@ -257,23 +260,6 @@ def test_certified_bound_equals_the_full_loops(make):
         2.0 * np.sqrt(full.norm_s) / w_c, rel=1e-12, abs=0)
 
 
-@pytest.fixture
-def products(monkeypatch):
-    """Counts the products with a profile's entries: |S| and the
-    sequence's matrix-vector products."""
-    count = [0]
-
-    class Counting(np.ndarray):
-        def __matmul__(self, other):
-            count[0] += 1
-            return np.asarray(self) @ other
-
-    fget = VarianceMatrix.entries.fget
-    monkeypatch.setattr(VarianceMatrix, "entries",
-                        property(lambda s: fget(s).view(Counting)))
-    return count
-
-
 def test_certificate_stops_random2000_within_20_products(products):
     s = random_profile(2000, 7)
     products[0] = 0
@@ -287,8 +273,10 @@ def test_certificate_never_stops_on_a_reducible_union(products):
                     wigner_profile(300).entries)
     s = VarianceMatrix(a)
     products[0] = 0
+    inf_norm(s)
+    assert products[0] == 0  # |S| is read from the row sums
     z = norm_sequence(s, 50).z
-    assert products[0] == 51
+    assert products[0] == 50
     np.testing.assert_array_equal(z, full_norm_sequence(s, 50).z)
 
 
@@ -408,6 +396,22 @@ class NdarraySubclass(np.ndarray):
 def test_owned_read_only_float64_input_is_adopted():
     a = read_only(symmetric_nonneg(5, seed=1))
     assert VarianceMatrix(a).entries is a
+
+
+@pytest.mark.parametrize("name,n,seed", [
+    ("expprofile", 500, None), ("wigner", 500, None), ("random", 100, 7),
+    ("random", 300, 7), ("random", 2000, 7)],
+    ids=["exp500", "wigner500", "random100", "random300", "random2000"])
+def test_row_sums_are_the_read_only_product_with_ones(name, n, seed):
+    # the benchmark's profiles: every layer reads these sums, so they are
+    # the BLAS product, bit for bit, and cannot be changed
+    s = resolve_profile(name, n, seed)[0]
+    assert np.array_equal(s.row_sums, s.entries @ np.ones(n))
+    assert not s.row_sums.flags.writeable
+    with pytest.raises(ValueError):
+        s.row_sums[0] = 1.0
+    with pytest.raises(AttributeError):
+        s.row_sums = np.zeros(n)
 
 
 @pytest.mark.parametrize("make", [

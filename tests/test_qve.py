@@ -57,7 +57,7 @@ def solve(s, z, tol, cap):
     """One point through _solve_block, the block path density_scan runs:
     ``(m, sweeps, residual)``, where the residual is the last update norm,
     which is exactly the defect of the returned m."""
-    m, sweeps, res = _solve_block(s.entries, np.array([complex(z)]), tol, cap)
+    m, sweeps, res = _solve_block(s, np.array([complex(z)]), tol, cap)
     return m[0], sweeps, float(res[0])
 
 
@@ -149,7 +149,7 @@ def test_scan_block_and_solver_raise_at_once_on_a_non_finite_update():
     for zb in ([nan_point, 0.5 + 1e-3j], [0.5 + 1e-3j, nan_point]):
         with np.errstate(invalid="ignore"):
             with pytest.raises(ConvergenceError, match="tau = nan ") as err:
-                _solve_block(s.entries, np.array(zb), 1e-9, 1_000)
+                _solve_block(s, np.array(zb), 1e-9, 1_000)
         assert err.value.iterations == 1
         assert math.isnan(err.value.residual)
     # entries of 1e308 overflow S m in the first sweep
@@ -171,16 +171,16 @@ def test_scan_block_and_solver_raise_at_once_on_a_non_finite_update():
     assert got == pytest.approx(2.2507907903927653e-76, rel=1e-12)
 
 
-def start(entries, z):
+def start(s, z):
     """The kernel's start at z: a tolerance no update norm exceeds stops
     every row after one sweep, holding the iterate it started from."""
-    return _solve_block(entries, np.array([complex(z)]), math.inf, 1)[0][0]
+    return _solve_block(s, np.array([complex(z)]), math.inf, 1)[0][0]
 
 
 def test_start_is_the_semicircle_of_constant_row_sums():
     for s, z in [(wigner_profile(12), 2j),
                  (VarianceMatrix(np.array([[0.3, 0.7], [0.7, 0.3]])), 3j)]:
-        np.testing.assert_allclose(start(s.entries, z), scalar_semicircle(z),
+        np.testing.assert_allclose(start(s, z), scalar_semicircle(z),
                                    rtol=0, atol=1e-14)
 
 
@@ -191,7 +191,7 @@ def test_start_is_the_semicircle_of_constant_row_sums():
 def test_start_lies_in_the_upper_half_plane_or_is_minus_inverse_z(rows, tau, eta):
     # a diagonal profile: each row's start depends on its row sum alone
     z = complex(tau, eta)
-    m = start(np.diag(rows), z)
+    m = start(VarianceMatrix(np.diag(rows)), z)
     cold = -1.0 / np.complex128(z)  # NumPy's division, not Python's
     for x, r in enumerate(rows):
         assert m[x].imag > 0 or m[x] == cold, (r, m[x])
@@ -221,8 +221,8 @@ def test_semicircle_start_converges_in_few_sweeps(monkeypatch, wigner500):
     # and 17
     sweeps = []
 
-    def recording(entries, zb, tol, cap):
-        out = _solve_block(entries, zb, tol, cap)
+    def recording(s, zb, tol, cap):
+        out = _solve_block(s, zb, tol, cap)
         sweeps.append(out[1])
         return out
 
@@ -463,7 +463,7 @@ def estimate_support_loop(s, eta=1e-3, grid_step=1e-3, threshold=1e-2,
 
 
 def ceiling(s):
-    return _edge_ceiling(s.entries, 2 * math.sqrt(inf_norm(s)))
+    return _edge_ceiling(s, 2 * math.sqrt(inf_norm(s)))
 
 
 def block_profile(n1, n2, a, b, c):
@@ -482,6 +482,13 @@ SCAN_PROFILES = [wigner_profile(50), exp_profile(100)] + [
     block_profile(10, 50, 0.02, 0.02, 0.004)]
 SCAN_IDS = ["wigner50", "exp100"] + [f"random60-{k}" for k in range(5)] + [
     "gram20x60", "block10+50"]
+
+
+@pytest.mark.parametrize("s", SCAN_PROFILES, ids=SCAN_IDS)
+def test_scan_profiles_row_sums_are_the_product_with_ones(s):
+    # the kernel's starts and the scan's tolerance read these sums
+    assert np.array_equal(s.row_sums, s.entries @ np.ones(s.n))
+    assert not s.row_sums.flags.writeable
 
 
 # threshold 1e-3 puts the density at the scan's start above the threshold
@@ -675,19 +682,15 @@ def test_edge_ceiling_that_spends_its_steps_stays_certified():
 @pytest.mark.parametrize("profile,most", [
     (lambda: exp_profile(500), 100), (lambda: random_profile(2000, 7), 60),
     (lambda: gram_linearize(np.random.default_rng(0).random((60, 120)) / 120), 100),
-    (lambda: wigner_profile(500), 2)], ids=["exp500", "random2000", "gram60x120", "wigner500"])
-def test_edge_ceiling_work_guard(profile, most):
-    # two products per step of the ascent; on wigner500 p = 1 closes the
-    # bracket at once, in one step
-    s, count = profile(), [0]
-
-    class Counting(np.ndarray):
-        def __matmul__(self, other):
-            count[0] += 1
-            return np.asarray(self) @ other
-
-    _edge_ceiling(s.entries.view(Counting), 2 * math.sqrt(inf_norm(s)))
-    assert 2 <= count[0] <= most
+    (lambda: wigner_profile(500), 1)], ids=["exp500", "random2000", "gram60x120", "wigner500"])
+def test_edge_ceiling_work_guard(products, profile, most):
+    # two products per step of the ascent but the first, whose S p is
+    # the row sums; on wigner500 p = 1 closes the bracket at once, in
+    # one step
+    s = profile()
+    products[0] = 0
+    ceiling(s)
+    assert 1 <= products[0] <= most
 
 
 @settings(max_examples=200, deadline=None)
