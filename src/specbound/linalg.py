@@ -13,11 +13,15 @@ besides ``|S|`` itself.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import itertools
 import numbers
 import os
 import re
 import sys
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,6 +57,60 @@ def _tiles(n: int):
     for i, lo in enumerate(starts):
         for hi in starts[i:]:
             yield slice(lo, lo + _TILE), slice(hi, hi + _TILE)
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    loaded, found by library name in this process's memory map, or None
+    where there is none: another BLAS, or no ``/proc/self/maps``."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # numpy's own wheels prefix the names with scipy_, ILP64 builds
+        # suffix them with 64_
+        for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
+            name = f"{prefix}openblas_%s_num_threads{suffix}"
+            try:
+                get, put = lib[name % "get"], lib[name % "set"]
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+# The thread count is one setting of the whole process: bodies run under
+# _one_blas_thread in several Python threads take turns, so that none of
+# them restores the count while another still runs.
+_BLAS_TURN = threading.RLock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, and restore the thread count
+    after it; without OpenBLAS, run it as it is."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    with _BLAS_TURN:
+        threads = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(threads)
 
 
 def _check_matrix(a):

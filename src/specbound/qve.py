@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError, NumericError
 from .linalg import (VarianceMatrix, _check_int, _check_real, _check_type,
-                     _real_array, inf_norm)
+                     _one_blas_thread, _real_array, inf_norm)
 
 __all__ = ["SupportEstimate", "density", "density_scan", "estimate_support",
            "moment_recursion", "support_from_moments"]
@@ -259,6 +259,8 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     when a tau is not a finite real number; a block left unconverged
     raises the kernel's ConvergenceError, naming the first point whose
     update norm is not finite, or else the first point still running.
+    The blocks run on one OpenBLAS thread, so the densities do not
+    depend on the thread count.
     """
     _check_type("s", s, VarianceMatrix)
     eta = _check_real("eta", eta)
@@ -269,10 +271,14 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     with np.errstate(divide="ignore"):
         tol = _TOL / np.sqrt(s.row_sums.max())
     out = np.empty(len(taus))
-    for start in range(0, len(taus), _BLOCK):
-        zb = taus[start:start + _BLOCK] + 1j * eta
-        m = _solve_block(s, zb, tol, _MAX_SWEEPS)[0]
-        out[start:start + _BLOCK] = m.imag.mean(axis=1) / math.pi
+    # the steps between two sweeps outlast an idle worker's spin, so a
+    # second thread would be woken once a sweep; on a busy machine that
+    # wait costs more than the thread saves on a sweep's product
+    with _one_blas_thread():
+        for start in range(0, len(taus), _BLOCK):
+            zb = taus[start:start + _BLOCK] + 1j * eta
+            m = _solve_block(s, zb, tol, _MAX_SWEEPS)[0]
+            out[start:start + _BLOCK] = m.imag.mean(axis=1) / math.pi
     return out
 
 

@@ -1,4 +1,5 @@
-"""Idle BLAS workers sleep instead of spinning, and the numbers stay the same.
+"""Idle BLAS workers sleep instead of spinning, the QVE scan runs on one
+BLAS thread, and the numbers stay the same.
 
 specbound sets OPENBLAS_THREAD_TIMEOUT before numpy loads, and OpenBLAS
 reads it once, at load time, so each check runs in a fresh interpreter
@@ -10,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -84,3 +86,91 @@ def test_report_is_the_same_with_the_spinning_timeout():
     runs = [json.loads(child(argv, SPECBOUND_THREADS="2", **extra))
             for extra in ({}, {"OPENBLAS_THREAD_TIMEOUT": "28"})]
     assert strip_timing(runs[0]) == strip_timing(runs[1])
+
+
+# densities of the QVE scan on exp500, as the hex of their bytes
+SCAN_CHILD = """
+import specbound  # first: it sets the thread count before numpy loads
+import numpy as np
+from specbound import density_scan, exp_profile
+print(density_scan(exp_profile(500), np.linspace(0.0, 4.0, 64)).tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(not uses_openblas() or cpus() < 2
+                    or not os.path.exists("/proc/self/maps"),
+                    reason="needs numpy on OpenBLAS, two CPUs and a memory "
+                           "map to find OpenBLAS in")
+def test_density_scan_is_the_same_at_one_and_two_threads():
+    # a two-thread product sums in another order, and moved these
+    # densities by up to 4.2e-13 before the scan ran on one thread
+    one, two = (child(["-c", SCAN_CHILD], SPECBOUND_THREADS=t) for t in "12")
+    assert one == two
+
+
+@pytest.mark.skipif(not uses_openblas() or cpus() < 2,
+                    reason="needs numpy on OpenBLAS and two CPUs")
+def test_density_scan_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    from specbound import qve
+    from specbound.linalg import _openblas_threads, exp_profile
+
+    if _openblas_threads() is None:
+        pytest.skip("OpenBLAS's thread-count functions not found")
+    get, put = _openblas_threads()
+    threads, seen = get(), []
+    kernel = qve._solve_block
+
+    def recording(*args):
+        seen.append(get())
+        return kernel(*args)
+
+    def failing(*args):
+        raise RuntimeError("kernel failed")
+
+    put(2)
+    try:
+        s = exp_profile(40)
+        monkeypatch.setattr(qve, "_solve_block", recording)
+        qve.density_scan(s, np.linspace(0.0, 4.0, 40))
+        assert seen == [1, 1] and get() == 2
+        monkeypatch.setattr(qve, "_solve_block", failing)
+        with pytest.raises(RuntimeError, match="kernel failed"):
+            qve.density_scan(s, [1.0])
+        assert get() == 2
+    finally:
+        put(threads)
+
+
+@pytest.mark.skipif(not uses_openblas() or cpus() < 2,
+                    reason="needs numpy on OpenBLAS and two CPUs")
+def test_concurrent_scans_restore_the_thread_count():
+    from specbound import qve
+    from specbound.linalg import _openblas_threads, exp_profile
+
+    if _openblas_threads() is None:
+        pytest.skip("OpenBLAS's thread-count functions not found")
+    get, put = _openblas_threads()
+    s, taus = exp_profile(40), np.linspace(0.0, 4.0, 8)
+    expected = qve.density_scan(s, taus)
+    threads, interval = get(), sys.getswitchinterval()
+    results = []
+
+    def scan():
+        for _ in range(25):
+            results.append(qve.density_scan(s, taus))
+
+    put(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=scan) for _ in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert get() == 2
+        assert len(results) == 100
+        assert all(np.array_equal(r, expected) for r in results)
+    finally:
+        sys.setswitchinterval(interval)
+        put(threads)
