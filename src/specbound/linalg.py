@@ -13,6 +13,7 @@ besides ``|S|`` itself.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import ctypes
 import functools
@@ -59,11 +60,16 @@ def _tiles(n: int):
             yield slice(lo, lo + _TILE), slice(hi, hi + _TILE)
 
 
+# numpy's OpenBLAS: its thread-count functions, and LAPACKE's real
+# symmetric and complex hermitian eigensolvers (None where it lacks them)
+_OpenBlas = collections.namedtuple("_OpenBlas", "get put dsyevd zheevd")
+
+
 @functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy
-    loaded, found by library name in this process's memory map, or None
-    where there is none: another BLAS, or no ``/proc/self/maps``."""
+def _openblas():
+    """The OpenBLAS that numpy loaded, found by library name in this
+    process's memory map, as an _OpenBlas, or None where there is none:
+    another BLAS, or no ``/proc/self/maps``."""
     try:
         with open("/proc/self/maps") as maps:
             paths = {line.split()[-1] for line in maps
@@ -78,15 +84,34 @@ def _openblas_threads():
         # numpy's own wheels prefix the names with scipy_, ILP64 builds
         # suffix them with 64_
         for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
-            name = f"{prefix}openblas_%s_num_threads{suffix}"
+            name = f"{prefix}%s{suffix}"
             try:
-                get, put = lib[name % "get"], lib[name % "set"]
+                get = lib[name % "openblas_get_num_threads"]
+                put = lib[name % "openblas_set_num_threads"]
             except AttributeError:
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
+            try:
+                solvers = [lib[name % f"LAPACKE_{f}"] for f in ("dsyevd", "zheevd")]
+            except AttributeError:
+                return _OpenBlas(get, put, None, None)
+            # lapack_int is 64 bits wide in an ILP64 build; the arguments
+            # are layout, jobz, uplo, n, a, lda and the eigenvalues w
+            integer = ctypes.c_int64 if suffix else ctypes.c_int
+            for f in solvers:
+                f.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, integer,
+                              ctypes.c_void_p, integer, ctypes.c_void_p]
+                f.restype = integer
+            return _OpenBlas(get, put, *solvers)
     return None
+
+
+def _openblas_threads():
+    """The (get, set) thread-count functions of numpy's OpenBLAS, or None
+    where there is none (see _openblas)."""
+    blas = _openblas()
+    return None if blas is None else (blas.get, blas.put)
 
 
 # The thread count is one setting of the whole process: bodies run under
@@ -98,17 +123,18 @@ _BLAS_TURN = threading.RLock()
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body on one OpenBLAS thread, and restore the thread count
-    after it; without OpenBLAS, run it as it is."""
+    after it; without OpenBLAS, run it as it is. Yields the thread count
+    it found, 1 without OpenBLAS."""
     blas = _openblas_threads()
     if blas is None:
-        yield
+        yield 1
         return
     get, put = blas
     with _BLAS_TURN:
         threads = get()
         put(1)
         try:
-            yield
+            yield threads
         finally:
             put(threads)
 

@@ -7,28 +7,38 @@ and aggregates statistics for comparison against the analytic bounds.
 Each trial owns an RNG stream derived from (seed, trial index), so
 results are identical no matter how trials are scheduled; aggregation
 sorts by trial index. The largest absolute eigenvalue comes from
-LAPACK's symmetric/hermitian eigensolver (``numpy.linalg.eigvalsh``):
-it is exact to roundoff and has no tolerance or iteration cap to tune.
+LAPACK's symmetric/hermitian eigensolver ?syevd/?heevd, the routine
+``numpy.linalg.eigvalsh`` calls: it is exact to roundoff and has no
+tolerance or iteration cap to tune. It is called through the LAPACKE
+interface of numpy's OpenBLAS by ctypes, which releases the GIL, so an
+experiment runs its trials on as many workers as OpenBLAS had threads,
+each solving on one OpenBLAS thread; the values do not depend on the
+thread count. Where that interface is missing, ``eigvalsh`` runs the
+trials one after another, on one thread too, with the same values.
 
 The eigensolver reads only the lower triangle of its input, so an
 experiment takes the entry scales sqrt(S) once and hands each draw to
-it as drawn (_draw), without mirroring it into a full matrix or
-checking its symmetry: the draw's lower triangle is exactly the
+it as drawn (_draw), in place, without mirroring it into a full matrix
+or checking its symmetry: the draw's lower triangle is exactly the
 sample's, so every trial's value equals the largest absolute eigenvalue
-of ``sample_matrix(...)`` for the same stream, bit for bit.
+of ``sample_matrix(...)`` for the same stream, by ``eigvalsh`` on one
+OpenBLAS thread, bit for bit. Memory peaks at the profile, its entry
+scales and one draw per worker.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError
-from .linalg import VarianceMatrix, _check_int, _check_type
+from .linalg import (VarianceMatrix, _check_int, _check_type, _one_blas_thread,
+                     _openblas)
 
 __all__ = ["ENSEMBLES", "McConfig", "McResult", "mc_experiment",
            "sample_matrix", "trial_rng"]
@@ -136,31 +146,104 @@ def sample_matrix(s: VarianceMatrix, ensemble: str,
     return np.tril(low) + np.tril(low, -1).conj().T
 
 
-def _radius(h) -> float:
-    # eigvalsh reads only the lower triangle of h
-    return float(np.abs(np.linalg.eigvalsh(h)).max())
+# LAPACKE's code for column-major (Fortran-order) arrays
+_COL_MAJOR = 102
+
+
+def _lapacke():
+    """numpy's OpenBLAS where it has LAPACKE's eigensolvers, else None."""
+    blas = _openblas()
+    return None if blas is None or blas.dsyevd is None else blas
+
+
+def _radius(h, overwrite=False) -> float:
+    """Largest absolute eigenvalue of the hermitian matrix whose lower
+    triangle ``h`` holds, from LAPACK's ?syevd/?heevd: the routine
+    ``numpy.linalg.eigvalsh`` calls, with the same workspace, so the two
+    agree bit for bit.
+
+    The routine is called through numpy's OpenBLAS's LAPACKE by ctypes,
+    which releases the GIL, so workers in several Python threads solve at
+    once. It overwrites its column-major input: ``h`` itself when
+    ``overwrite`` and ``h`` is a writeable F-contiguous array of float64
+    or complex128, a copy otherwise. Without LAPACKE it is
+    ``numpy.linalg.eigvalsh``. Raises LinAlgError when the solver fails.
+    """
+    blas = _lapacke()
+    if blas is None:
+        return float(np.abs(np.linalg.eigvalsh(h)).max())
+    hermitian = np.iscomplexobj(h)
+    kind = complex if hermitian else float
+    a = np.require(h, kind, "FW") if overwrite else np.array(h, kind, order="F")
+    n = a.shape[0]
+    if a.shape != (n, n):  # the solver reads n columns of n entries
+        raise np.linalg.LinAlgError(f"expected a square matrix, got shape {a.shape}")
+    w = np.empty(n)
+    solve = blas.zheevd if hermitian else blas.dsyevd
+    if solve(_COL_MAJOR, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return float(np.abs(w).max())
 
 
 def mc_experiment(s: VarianceMatrix, cfg: McConfig) -> McResult:
     """Run ``cfg.trials`` independent samples and aggregate statistics.
 
     Deterministic given (seed, trials, ensemble): every trial draws
-    from its own stream. Trials whose eigensolver fails to converge
-    (``LinAlgError``) are excluded from the statistics and counted as
-    failures.
+    from its own stream, and its value does not depend on the thread
+    count. The trials run on as many workers as OpenBLAS had threads
+    when the call began (at most ``cfg.trials``), the calling thread
+    among them, each solving on one OpenBLAS thread; without LAPACKE
+    there is one worker. Each worker takes the next trial, draws it and
+    hands the draw to the eigensolver in place, so memory peaks at the
+    profile, its entry scales and one draw per worker. Trials whose
+    eigensolver fails (``LinAlgError``) are excluded from the statistics
+    and counted as failures; any other exception in a worker stops the
+    others and reaches the caller once every worker has ended.
     """
     start = time.perf_counter()
     _check_type("cfg", cfg, McConfig)
     sigma = np.sqrt(_check_type("s", s, VarianceMatrix).entries)
-    values = []
-    failures = 0
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, trial)
-        # no draw outlives its trial, so two are never held at once
+    radii = [None] * cfg.trials  # None: the trial's eigensolver failed
+    order, turn = iter(range(cfg.trials)), threading.Lock()
+    stop, errors = threading.Event(), []
+
+    def work():
+        while not stop.is_set():
+            with turn:
+                trial = next(order, None)
+            if trial is None:
+                return
+            # the draw is not named, so it does not outlive its trial
+            try:
+                radii[trial] = _radius(
+                    _draw(sigma, cfg.ensemble, trial_rng(cfg.seed, trial)),
+                    overwrite=True)
+            except np.linalg.LinAlgError:
+                pass
+
+    def helper():
         try:
-            values.append(_radius(_draw(sigma, cfg.ensemble, rng)))
-        except np.linalg.LinAlgError:
-            failures += 1
+            work()
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    with _one_blas_thread() as threads:
+        helpers = []
+        try:
+            # eigvalsh holds the GIL, so without LAPACKE one worker
+            workers = 1 if _lapacke() is None else min(cfg.trials, threads)
+            for _ in range(workers - 1):
+                helpers.append(threading.Thread(target=helper))
+                helpers[-1].start()
+            work()
+        finally:
+            stop.set()
+            for worker in helpers:
+                worker.join()
+    if errors:
+        raise errors[0]
+    values = [r for r in radii if r is not None]
     mean = statistics.fmean(values) if values else 0.0
     if len(values) >= 2:
         std, std_defined = statistics.stdev(values), True
@@ -174,6 +257,6 @@ def mc_experiment(s: VarianceMatrix, cfg: McConfig) -> McResult:
         mean=mean,
         std=std,
         std_defined=std_defined,
-        failures=failures,
+        failures=cfg.trials - len(values),
         elapsed=time.perf_counter() - start,
     )

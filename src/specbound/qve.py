@@ -252,10 +252,8 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     _MAX_SWEEPS sweeps.  m scales as 1/sqrt(|S|), so the scan is
     scale-covariant: on 16^k S at 4^k taus and 4^k eta it returns
     exactly 4^-k times the densities on S.  The zero profile keeps its
-    exact start -1/z.  A max row sum that overflows (``row_sums`` reads
-    inf) gives tolerance 0, so a point stops only at an update norm of
-    exactly 0, and otherwise raises: within a few sweeps where S m
-    overflows, or once the whole budget is spent.  Raises InputError
+    exact start -1/z.  A max row sum that overflows raises
+    ``inf_norm``'s NumericError before any sweep.  Raises InputError
     when a tau is not a finite real number; a block left unconverged
     raises the kernel's ConvergenceError, naming the first point whose
     update norm is not finite, or else the first point still running.
@@ -267,9 +265,9 @@ def density_scan(s: VarianceMatrix, taus, eta: float = 1e-3) -> np.ndarray:
     taus = _real_array("taus", taus).ravel()
     if not np.isfinite(taus).all():
         raise InputError(f"taus must be finite, got {taus[~np.isfinite(taus)][0]}")
-    # m scales as 1/sqrt(|S|); an overflowed |S| gives tolerance 0, the zero profile inf
+    # m scales as 1/sqrt(|S|); the zero profile gets tolerance inf
     with np.errstate(divide="ignore"):
-        tol = _TOL / np.sqrt(s.row_sums.max())
+        tol = _TOL / np.sqrt(inf_norm(s))
     out = np.empty(len(taus))
     # the steps between two sweeps outlast an idle worker's spin, so a
     # second thread would be woken once a sweep; on a busy machine that

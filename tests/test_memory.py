@@ -4,9 +4,10 @@ the MC sampler.
 A profile is one n-by-n float64 array (8 n^2 bytes): the generator, or
 the file reader, builds it and VarianceMatrix adopts it without a copy,
 and the norm sequence and moment recursion add only O(J n + kmax n). An MC
-experiment holds the entry scales sqrt(S), one profile, and in each
-trial one draw and the eigensolver's copy of it, one profile each in
-the real-symmetric ensemble and two in the complex-hermitian one. Each
+experiment holds the entry scales sqrt(S), one profile, and one draw
+per worker, which the eigensolver overwrites in place: one profile in
+the real-symmetric ensemble, and two, with a real profile beside them
+while it is drawn, in the complex-hermitian one. Each
 child interpreter measures its own peak resident set, so the numbers
 are not blurred by what the test session has allocated before.
 """
@@ -91,7 +92,7 @@ def peak_bytes():
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return rss if sys.platform == "darwin" else rss * 1024
 
-cfg = McConfig(trials=2, seed=1, ensemble=sys.argv[1])
+cfg = McConfig(trials=int(sys.argv[2]), seed=1, ensemble=sys.argv[1])
 mc_experiment(exp_profile(2), cfg)
 base = peak_bytes()
 s = exp_profile(1000)
@@ -100,10 +101,14 @@ print(json.dumps({"base": base, "peak": peak_bytes()}))
 """
 
 
-def peak_growth(child, n, *argv):
+def peak_growth(child, n, *argv, threads=None):
     """Peak resident growth of a fresh interpreter running ``child``, in
-    profiles of 8 n^2 bytes."""
+    profiles of 8 n^2 bytes; ``threads`` sets SPECBOUND_THREADS alone."""
     env = dict(os.environ)
+    if threads is not None:
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        env["SPECBOUND_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", child, *argv], env=env,
@@ -135,5 +140,9 @@ def test_load_matrix_peak_below_two_profiles(tmp_path):
 @pytest.mark.parametrize("ensemble,limit", [
     ("real-symmetric", 4.5), ("complex-hermitian", 9.0)])
 def test_mc_experiment_peak(ensemble, limit):
-    growth = peak_growth(MC_CHILD, 1000, ensemble)
+    growth = peak_growth(MC_CHILD, 1000, ensemble, "2")
     assert growth < limit, f"peak grew by {growth:.2f} profiles of 8 n^2 bytes"
+    # two workers at two threads: two draws alive at once
+    growth = peak_growth(MC_CHILD, 1000, ensemble, "4", threads="2")
+    assert growth < limit, (f"peak at two workers grew by {growth:.2f} "
+                            "profiles of 8 n^2 bytes")

@@ -1,23 +1,29 @@
 import json
 import math
 import statistics
+import threading
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from _jacobi import jacobi_eigenvalues, jacobi_spectral_radius
+import specbound.montecarlo as montecarlo
 from specbound.bounds import support_bound
 from specbound.errors import InputError
 from specbound.linalg import (
     VarianceMatrix,
+    _one_blas_thread,
+    _openblas,
     exp_profile,
     gram_linearize,
     random_profile,
     wigner_profile,
 )
 from specbound.montecarlo import (
+    ENSEMBLES,
     McConfig,
+    _draw,
     _radius,
     mc_experiment,
     sample_matrix,
@@ -159,6 +165,23 @@ def test_entry_statistics_match_profile(ensemble):
 # _radius is the package's one radius function: mc_experiment measures
 # every trial with it
 
+@pytest.mark.parametrize("n", [1, 2, 37, 500])
+def test_radius_equals_eigvalsh_on_one_thread_bit_for_bit(n):
+    # LAPACKE's solver is the routine eigvalsh calls, with its workspace;
+    # it overwrites the draw it is handed, and only a copy of any other
+    s = exp_profile(n)
+    for ensemble in ENSEMBLES:
+        for trial in range(2):
+            h = sample_matrix(s, ensemble, trial_rng(4, trial))
+            kept = h.copy()
+            draw = _draw(np.sqrt(s.entries), ensemble, trial_rng(4, trial))
+            with _one_blas_thread():
+                want = float(np.abs(np.linalg.eigvalsh(h)).max())
+                assert _radius(h) == want
+                assert _radius(draw, overwrite=True) == want
+            assert np.array_equal(h, kept)
+
+
 def test_spectral_radius_swap_matrix():
     assert _radius(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(
         1.0, rel=1e-14)
@@ -277,15 +300,67 @@ def test_per_trial_values_are_exact_spectral_radii():
 
 
 def test_failures_are_counted_and_excluded(monkeypatch):
+    # a nonzero info from the LAPACKE solver, and a LinAlgError from the
+    # eigvalsh fallback where there is no LAPACKE, fail the trial
+    calls = []
+
+    def info_one(*args):
+        calls.append(args[3])
+        return 1
+
     def fail(h):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    res = mc_experiment(exp_profile(30), McConfig(trials=4, seed=5))
-    assert res.failures == 4
-    assert res.per_trial == ()
-    assert res.mean == 0.0
-    assert not res.std_defined
+    blas = montecarlo._openblas()
+    solvers = []
+    if blas is not None and blas.dsyevd is not None:
+        solvers.append(blas._replace(dsyevd=info_one, zheevd=info_one))
+    solvers.append(None)
+    for found in solvers:
+        monkeypatch.setattr(montecarlo, "_openblas", lambda: found)
+        if found is None:
+            monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        for ensemble in ENSEMBLES:
+            res = mc_experiment(exp_profile(30),
+                                McConfig(trials=4, seed=5, ensemble=ensemble))
+            assert res.failures == 4
+            assert res.per_trial == ()
+            assert res.mean == 0.0
+            assert not res.std_defined
+    assert calls == [30] * 8 * (len(solvers) - 1)
+
+
+@pytest.mark.parametrize("where", ["every draw", "a helper's draw"])
+def test_an_error_in_a_draw_reaches_the_caller(monkeypatch, where):
+    # a MemoryError is no failed trial: it reaches the caller once every
+    # worker has ended, and the thread count is restored
+    blas = _openblas()
+    if where != "every draw" and (blas is None or blas.dsyevd is None):
+        pytest.skip("one worker only: no OpenBLAS with LAPACKE")
+    draw, raised = montecarlo._draw, threading.Event()
+
+    def failing(*args):
+        if where == "every draw" or threading.current_thread() is not caller:
+            raised.set()
+            raise MemoryError("no room for a draw")
+        # the caller's first draw waits for the helper's error
+        raised.wait(timeout=30)
+        return draw(*args)
+
+    caller, alive = threading.current_thread(), threading.active_count()
+    monkeypatch.setattr(montecarlo, "_draw", failing)
+    threads = None if blas is None else blas.get()
+    if blas is not None:
+        blas.put(2)
+    try:
+        with pytest.raises(MemoryError, match="no room for a draw"):
+            mc_experiment(exp_profile(30), McConfig(trials=8, seed=5))
+        assert threading.active_count() == alive
+        if blas is not None:
+            assert blas.get() == 2
+    finally:
+        if blas is not None:
+            blas.put(threads)
 
 
 def test_result_serializes_to_json():

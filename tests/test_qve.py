@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -158,17 +159,31 @@ def test_scan_block_and_solver_raise_at_once_on_a_non_finite_update():
         with pytest.raises(ConvergenceError) as err:
             solve(huge, 1j, tol=1e-9, cap=200_000)
     assert err.value.iterations == 1
-    # row sums of 2e308 overflow, so those rows keep the start -1/z, and
-    # its S m overflows too
+    # row sums of 2e308 overflow, so the scan refuses the profile as
+    # inf_norm does, before any sweep
     for tau in (0.0, 0.5):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            with pytest.raises(ConvergenceError) as err:
-                density_scan(huge, [tau])
-        assert err.value.iterations == 1
+        with pytest.raises(NumericError) as err:
+            density_scan(huge, [tau])
+        assert str(err.value) == OVERFLOWED_NORM
     # constant row sums of 2e150: the semicircle start is the solution,
     # whose density at the origin is 1 / (pi sqrt(2e150))
     got = density_scan(VarianceMatrix(np.full((2, 2), 1e150)), [0.0])[0]
     assert got == pytest.approx(2.2507907903927653e-76, rel=1e-12)
+
+
+OVERFLOWED_NORM = ("max row sum |S| overflows double precision; "
+                   "rescale the profile and retry")
+
+
+def test_density_on_an_overflowed_max_row_sum_raises_at_once():
+    # the scan's tolerance used to read 0 here, and the point spent the
+    # whole sweep budget (27 s) before it raised
+    s = VarianceMatrix(np.array([[1.7e308, 1e308], [1e308, 0.0]]))
+    began = time.perf_counter()
+    with pytest.raises(NumericError) as err:
+        density(s, 0.0, 1e112)
+    assert time.perf_counter() - began < 1.0
+    assert str(err.value) == OVERFLOWED_NORM
 
 
 def start(s, z):

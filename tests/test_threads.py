@@ -1,5 +1,5 @@
-"""Idle BLAS workers sleep instead of spinning, the QVE scan runs on one
-BLAS thread, and the numbers stay the same.
+"""Idle BLAS workers sleep instead of spinning, the QVE scan and the MC
+eigensolves run on one BLAS thread, and the numbers stay the same.
 
 specbound sets OPENBLAS_THREAD_TIMEOUT before numpy loads, and OpenBLAS
 reads it once, at load time, so each check runs in a fresh interpreter
@@ -106,6 +106,52 @@ def test_density_scan_is_the_same_at_one_and_two_threads():
     # densities by up to 4.2e-13 before the scan ran on one thread
     one, two = (child(["-c", SCAN_CHILD], SPECBOUND_THREADS=t) for t in "12")
     assert one == two
+
+
+# MC radii on exp500, as the hex of their bytes
+MC_CHILD = """
+import sys
+import specbound  # first: it sets the thread count before numpy loads
+import numpy as np
+from specbound import McConfig, exp_profile, mc_experiment
+cfg = McConfig(trials=4, seed=1, ensemble=sys.argv[1])
+print(np.array(mc_experiment(exp_profile(500), cfg).per_trial).tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(not uses_openblas() or cpus() < 2,
+                    reason="needs numpy on OpenBLAS and two CPUs")
+@pytest.mark.parametrize("ensemble", ["real-symmetric", "complex-hermitian"])
+def test_mc_experiment_is_the_same_at_one_and_two_threads(ensemble):
+    # the trials run on two workers at two threads, each solving on one
+    # BLAS thread; a two-thread eigvalsh moved these radii by up to 5e-15
+    one, two = (child(["-c", MC_CHILD, ensemble], SPECBOUND_THREADS=t)
+                for t in "12")
+    assert one == two
+
+
+def test_more_workers_than_cpus_give_the_one_worker_radii():
+    from specbound.linalg import _openblas, exp_profile
+    from specbound.montecarlo import ENSEMBLES, McConfig, mc_experiment
+
+    blas = _openblas()
+    if blas is None or blas.dsyevd is None:
+        pytest.skip("OpenBLAS's LAPACKE eigensolvers not found")
+    s = exp_profile(30)
+    configs = [McConfig(trials=64, seed=3, ensemble=e) for e in ENSEMBLES]
+    threads, interval = blas.get(), sys.getswitchinterval()
+    blas.put(1)
+    try:
+        expected = [mc_experiment(s, cfg) for cfg in configs]
+        # eight workers: a trial taken twice, or a radius stored at
+        # another trial's index, would change the radii
+        blas.put(8)
+        sys.setswitchinterval(1e-6)
+        assert [mc_experiment(s, cfg) for cfg in configs] == expected
+        assert blas.get() == 8
+    finally:
+        sys.setswitchinterval(interval)
+        blas.put(threads)
 
 
 @pytest.mark.skipif(not uses_openblas() or cpus() < 2,
