@@ -107,13 +107,6 @@ def _openblas():
     return None
 
 
-def _openblas_threads():
-    """The (get, set) thread-count functions of numpy's OpenBLAS, or None
-    where there is none (see _openblas)."""
-    blas = _openblas()
-    return None if blas is None else (blas.get, blas.put)
-
-
 # The thread count is one setting of the whole process: bodies run under
 # _one_blas_thread in several Python threads take turns, so that none of
 # them restores the count while another still runs.
@@ -125,18 +118,17 @@ def _one_blas_thread():
     """Run the body on one OpenBLAS thread, and restore the thread count
     after it; without OpenBLAS, run it as it is. Yields the thread count
     it found, 1 without OpenBLAS."""
-    blas = _openblas_threads()
+    blas = _openblas()
     if blas is None:
         yield 1
         return
-    get, put = blas
     with _BLAS_TURN:
-        threads = get()
-        put(1)
+        threads = blas.get()
+        blas.put(1)
         try:
             yield threads
         finally:
-            put(threads)
+            blas.put(threads)
 
 
 def _check_matrix(a):

@@ -12,9 +12,10 @@ LAPACK's symmetric/hermitian eigensolver ?syevd/?heevd, the routine
 tolerance or iteration cap to tune. It is called through the LAPACKE
 interface of numpy's OpenBLAS by ctypes, which releases the GIL, so an
 experiment runs its trials on as many workers as OpenBLAS had threads,
-each solving on one OpenBLAS thread; the values do not depend on the
-thread count. Where that interface is missing, ``eigvalsh`` runs the
-trials one after another, on one thread too, with the same values.
+but at most two, each solving on one OpenBLAS thread; the values do not
+depend on the thread count. Where that interface is missing,
+``eigvalsh`` runs the trials one after another, on one thread too, with
+the same values.
 
 The eigensolver reads only the lower triangle of its input, so an
 experiment takes the entry scales sqrt(S) once and hands each draw to
@@ -23,7 +24,8 @@ or checking its symmetry: the draw's lower triangle is exactly the
 sample's, so every trial's value equals the largest absolute eigenvalue
 of ``sample_matrix(...)`` for the same stream, by ``eigvalsh`` on one
 OpenBLAS thread, bit for bit. Memory peaks at the profile, its entry
-scales and one draw per worker.
+scales and one draw per worker: two draws at most, as much as one
+``eigvalsh`` call holds (its input and the copy it solves).
 """
 
 from __future__ import annotations
@@ -149,6 +151,11 @@ def sample_matrix(s: VarianceMatrix, ensemble: str,
 # LAPACKE's code for column-major (Fortran-order) arrays
 _COL_MAJOR = 102
 
+# Most workers an experiment runs: each holds a draw of its own, and two
+# draws are what one eigvalsh call held. Two workers on two CPUs took
+# 15% off report-acceptance; more were not measured.
+_MAX_WORKERS = 2
+
 
 def _lapacke():
     """numpy's OpenBLAS where it has LAPACKE's eigensolvers, else None."""
@@ -156,7 +163,7 @@ def _lapacke():
     return None if blas is None or blas.dsyevd is None else blas
 
 
-def _radius(h, overwrite=False) -> float:
+def _radius(h) -> float:
     """Largest absolute eigenvalue of the hermitian matrix whose lower
     triangle ``h`` holds, from LAPACK's ?syevd/?heevd: the routine
     ``numpy.linalg.eigvalsh`` calls, with the same workspace, so the two
@@ -164,17 +171,16 @@ def _radius(h, overwrite=False) -> float:
 
     The routine is called through numpy's OpenBLAS's LAPACKE by ctypes,
     which releases the GIL, so workers in several Python threads solve at
-    once. It overwrites its column-major input: ``h`` itself when
-    ``overwrite`` and ``h`` is a writeable F-contiguous array of float64
-    or complex128, a copy otherwise. Without LAPACKE it is
+    once. A writeable F-contiguous float64 or complex128 ``h`` is
+    overwritten, as the solver works in place; any other ``h`` is solved
+    in a Fortran-order copy. Without LAPACKE it is
     ``numpy.linalg.eigvalsh``. Raises LinAlgError when the solver fails.
     """
     blas = _lapacke()
     if blas is None:
         return float(np.abs(np.linalg.eigvalsh(h)).max())
     hermitian = np.iscomplexobj(h)
-    kind = complex if hermitian else float
-    a = np.require(h, kind, "FW") if overwrite else np.array(h, kind, order="F")
+    a = np.require(h, complex if hermitian else float, "FW")
     n = a.shape[0]
     if a.shape != (n, n):  # the solver reads n columns of n entries
         raise np.linalg.LinAlgError(f"expected a square matrix, got shape {a.shape}")
@@ -191,14 +197,15 @@ def mc_experiment(s: VarianceMatrix, cfg: McConfig) -> McResult:
     Deterministic given (seed, trials, ensemble): every trial draws
     from its own stream, and its value does not depend on the thread
     count. The trials run on as many workers as OpenBLAS had threads
-    when the call began (at most ``cfg.trials``), the calling thread
-    among them, each solving on one OpenBLAS thread; without LAPACKE
-    there is one worker. Each worker takes the next trial, draws it and
-    hands the draw to the eigensolver in place, so memory peaks at the
-    profile, its entry scales and one draw per worker. Trials whose
-    eigensolver fails (``LinAlgError``) are excluded from the statistics
-    and counted as failures; any other exception in a worker stops the
-    others and reaches the caller once every worker has ended.
+    when the call began, but at most two and at most ``cfg.trials``, the
+    calling thread among them, each solving on one OpenBLAS thread;
+    without LAPACKE there is one worker. Each worker takes the next
+    trial, draws it and hands the draw to the eigensolver in place, so
+    memory peaks at the profile, its entry scales and one draw per
+    worker, whatever the thread count. Trials whose eigensolver fails
+    (``LinAlgError``) are excluded from the statistics and counted as
+    failures; any other exception in a worker stops the others and
+    reaches the caller once every worker has ended.
     """
     start = time.perf_counter()
     _check_type("cfg", cfg, McConfig)
@@ -216,8 +223,7 @@ def mc_experiment(s: VarianceMatrix, cfg: McConfig) -> McResult:
             # the draw is not named, so it does not outlive its trial
             try:
                 radii[trial] = _radius(
-                    _draw(sigma, cfg.ensemble, trial_rng(cfg.seed, trial)),
-                    overwrite=True)
+                    _draw(sigma, cfg.ensemble, trial_rng(cfg.seed, trial)))
             except np.linalg.LinAlgError:
                 pass
 
@@ -232,7 +238,8 @@ def mc_experiment(s: VarianceMatrix, cfg: McConfig) -> McResult:
         helpers = []
         try:
             # eigvalsh holds the GIL, so without LAPACKE one worker
-            workers = 1 if _lapacke() is None else min(cfg.trials, threads)
+            workers = (1 if _lapacke() is None
+                       else min(cfg.trials, threads, _MAX_WORKERS))
             for _ in range(workers - 1):
                 helpers.append(threading.Thread(target=helper))
                 helpers[-1].start()

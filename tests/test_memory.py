@@ -5,9 +5,9 @@ A profile is one n-by-n float64 array (8 n^2 bytes): the generator, or
 the file reader, builds it and VarianceMatrix adopts it without a copy,
 and the norm sequence and moment recursion add only O(J n + kmax n). An MC
 experiment holds the entry scales sqrt(S), one profile, and one draw
-per worker, which the eigensolver overwrites in place: one profile in
-the real-symmetric ensemble, and two, with a real profile beside them
-while it is drawn, in the complex-hermitian one. Each
+per worker, at most two, which the eigensolver overwrites in place: one
+profile in the real-symmetric ensemble, and two, with a real profile
+beside them while it is drawn, in the complex-hermitian one. Each
 child interpreter measures its own peak resident set, so the numbers
 are not blurred by what the test session has allocated before.
 """
@@ -85,7 +85,7 @@ print(json.dumps({"base": base, "peak": peak_bytes()}))
 # profile size changes.
 MC_CHILD = """
 import json, resource, sys
-from specbound.linalg import exp_profile
+from specbound.linalg import _openblas, exp_profile
 from specbound.montecarlo import McConfig, mc_experiment
 
 def peak_bytes():
@@ -93,6 +93,8 @@ def peak_bytes():
     return rss if sys.platform == "darwin" else rss * 1024
 
 cfg = McConfig(trials=int(sys.argv[2]), seed=1, ensemble=sys.argv[1])
+if len(sys.argv) > 3 and _openblas() is not None:
+    _openblas().put(int(sys.argv[3]))  # OpenBLAS threads, past the CPUs
 mc_experiment(exp_profile(2), cfg)
 base = peak_bytes()
 s = exp_profile(1000)
@@ -103,12 +105,15 @@ print(json.dumps({"base": base, "peak": peak_bytes()}))
 
 def peak_growth(child, n, *argv, threads=None):
     """Peak resident growth of a fresh interpreter running ``child``, in
-    profiles of 8 n^2 bytes; ``threads`` sets SPECBOUND_THREADS alone."""
+    profiles of 8 n^2 bytes; ``threads`` sets SPECBOUND_THREADS alone, or
+    no thread variable at all when it is empty."""
     env = dict(os.environ)
     if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        for var in ("SPECBOUND_THREADS", "OMP_NUM_THREADS",
+                    "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env.pop(var, None)
-        env["SPECBOUND_THREADS"] = threads
+        if threads:
+            env["SPECBOUND_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", child, *argv], env=env,
@@ -145,4 +150,9 @@ def test_mc_experiment_peak(ensemble, limit):
     # two workers at two threads: two draws alive at once
     growth = peak_growth(MC_CHILD, 1000, ensemble, "4", threads="2")
     assert growth < limit, (f"peak at two workers grew by {growth:.2f} "
+                            "profiles of 8 n^2 bytes")
+    # eight OpenBLAS threads and no cap in the environment: still two
+    # workers, so still two draws
+    growth = peak_growth(MC_CHILD, 1000, ensemble, "8", "8", threads="")
+    assert growth < limit, (f"peak at eight threads grew by {growth:.2f} "
                             "profiles of 8 n^2 bytes")

@@ -178,7 +178,7 @@ def test_radius_equals_eigvalsh_on_one_thread_bit_for_bit(n):
             with _one_blas_thread():
                 want = float(np.abs(np.linalg.eigvalsh(h)).max())
                 assert _radius(h) == want
-                assert _radius(draw, overwrite=True) == want
+                assert _radius(draw) == want
             assert np.array_equal(h, kept)
 
 

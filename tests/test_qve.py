@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -713,16 +714,22 @@ def test_edge_ceiling_work_guard(products, profile, most):
 def test_edge_ceiling_bounds_every_dual_lower_bound(data, n, log_a):
     # weak duality: L(p) = 2 sum sqrt(p S p) / sum p <= edge <= ceiling
     # for every p >= 0 with S p != 0, on profiles with zero entries and
-    # rows, at every scale
+    # rows, at every scale. L(p) is formed in 60-digit decimals, as its
+    # products can fall below the normal floats: on S = [[2.2250738585e-313]]
+    # and p = [0.6015625] they round L(p) in float64 up past the exact edge
+    # 2 sqrt(S) by 5.6e-12 relative
     unit = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
     a = np.array(data.draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
     s = VarianceMatrix((a + a.T) / 2 * 10.0**log_a)
-    p = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
-    sp = s.entries @ p
-    assume((sp > 0).any())
-    lower = 2 * np.sqrt(p * sp).sum() / p.sum()
+    p = data.draw(st.lists(unit, min_size=n, max_size=n))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        p = [Decimal(v) for v in p]
+        sp = [sum(Decimal(v) * w for v, w in zip(row, p)) for row in s.entries.tolist()]
+        assume(any(sp))
+        lower = 2 * sum((v * w).sqrt() for v, w in zip(p, sp)) / sum(p)
     got = ceiling(s)
-    assert lower <= got * (1 + 1e-12)
+    assert lower <= Decimal(got) * (1 + Decimal("1e-12"))
     assert got <= 2 * math.sqrt(inf_norm(s))
 
 

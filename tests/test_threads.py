@@ -130,7 +130,24 @@ def test_mc_experiment_is_the_same_at_one_and_two_threads(ensemble):
     assert one == two
 
 
-def test_more_workers_than_cpus_give_the_one_worker_radii():
+# the report JSON on exp500, apart from its clocks and the MC elapsed
+REPORT_ARGV = ["-m", "specbound.cli", "report", "--profile", "expprofile",
+               "--n", "500", "--trials", "4"]
+
+
+@pytest.mark.skipif(not uses_openblas() or cpus() < 2,
+                    reason="needs numpy on OpenBLAS and two CPUs")
+def test_report_is_the_same_at_one_and_two_threads():
+    # every stage of report runs on one BLAS thread, so its numbers are
+    # those of a one-thread run, bit for bit
+    one, two = (strip_timing(json.loads(child(REPORT_ARGV, SPECBOUND_THREADS=t)))
+                for t in "12")
+    assert one == two
+
+
+def test_a_high_thread_count_runs_two_workers_with_the_one_worker_radii(
+        monkeypatch):
+    from specbound import montecarlo
     from specbound.linalg import _openblas, exp_profile
     from specbound.montecarlo import ENSEMBLES, McConfig, mc_experiment
 
@@ -140,15 +157,24 @@ def test_more_workers_than_cpus_give_the_one_worker_radii():
     s = exp_profile(30)
     configs = [McConfig(trials=64, seed=3, ensemble=e) for e in ENSEMBLES]
     threads, interval = blas.get(), sys.getswitchinterval()
+    draw, drawers = montecarlo._draw, set()
+
+    def recording(*args):
+        drawers.add(threading.get_ident())
+        return draw(*args)
+
     blas.put(1)
     try:
         expected = [mc_experiment(s, cfg) for cfg in configs]
-        # eight workers: a trial taken twice, or a radius stored at
-        # another trial's index, would change the radii
+        # eight threads still run two workers, as each holds a draw; a
+        # trial taken twice, or a radius stored at another trial's
+        # index, would change the radii
+        monkeypatch.setattr(montecarlo, "_draw", recording)
         blas.put(8)
         sys.setswitchinterval(1e-6)
         assert [mc_experiment(s, cfg) for cfg in configs] == expected
         assert blas.get() == 8
+        assert 1 <= len(drawers) <= 2
     finally:
         sys.setswitchinterval(interval)
         blas.put(threads)
@@ -158,11 +184,12 @@ def test_more_workers_than_cpus_give_the_one_worker_radii():
                     reason="needs numpy on OpenBLAS and two CPUs")
 def test_density_scan_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
     from specbound import qve
-    from specbound.linalg import _openblas_threads, exp_profile
+    from specbound.linalg import _openblas, exp_profile
 
-    if _openblas_threads() is None:
+    blas = _openblas()
+    if blas is None:
         pytest.skip("OpenBLAS's thread-count functions not found")
-    get, put = _openblas_threads()
+    get, put = blas.get, blas.put
     threads, seen = get(), []
     kernel = qve._solve_block
 
@@ -191,11 +218,12 @@ def test_density_scan_runs_on_one_blas_thread_and_restores_the_count(monkeypatch
                     reason="needs numpy on OpenBLAS and two CPUs")
 def test_concurrent_scans_restore_the_thread_count():
     from specbound import qve
-    from specbound.linalg import _openblas_threads, exp_profile
+    from specbound.linalg import _openblas, exp_profile
 
-    if _openblas_threads() is None:
+    blas = _openblas()
+    if blas is None:
         pytest.skip("OpenBLAS's thread-count functions not found")
-    get, put = _openblas_threads()
+    get, put = blas.get, blas.put
     s, taus = exp_profile(40), np.linspace(0.0, 4.0, 8)
     expected = qve.density_scan(s, taus)
     threads, interval = get(), sys.getswitchinterval()
