@@ -2,11 +2,19 @@
 
 import os as _os
 
+
+def _is_thread_count(value):
+    """Whether the text ``value`` is a positive decimal integer."""
+    return value.isascii() and value.isdecimal() and int(value) > 0
+
+
 # Honor SPECBOUND_THREADS before any numerical library spins up its thread
 # pool.  This only works if numpy has not been imported yet, which is the
-# case when the CLI is the entry point.
-_threads = _os.environ.get("SPECBOUND_THREADS")
-if _threads:
+# case when the CLI is the entry point.  Only a positive decimal integer is
+# passed on: OpenBLAS takes 0, a negative count or text as every CPU, and
+# 1.5 as 1.  The CLI refuses any other nonempty value; an empty one is unset.
+_threads = _os.environ.get("SPECBOUND_THREADS", "")
+if _is_thread_count(_threads):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 # Idle OpenBLAS workers spin for 2^28 cycles (about 0.13 s at 2 GHz) after

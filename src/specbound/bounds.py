@@ -85,8 +85,9 @@ def support_bound(s: VarianceMatrix, J: int = 50) -> BoundReport:
 
     ``J`` is the number of norm sequence terms used; deeper sequences can
     only tighten the improved bound.  The sequence costs
-    min(J, steps until its Collatz-Wielandt bracket closes)
-    matrix-vector products (see ``norm_sequence``), so a deep J is cheap
+    min(J, steps until its Collatz-Wielandt bracket closes) - 1
+    matrix-vector products, as its first term comes from the profile's
+    ``row_sums`` (see ``norm_sequence``), so a deep J is cheap
     unless the profile is a reducible union of blocks of different
     radii.  The terms past the close are upper estimates, and a larger
     z_j only lowers w_c, so the improved bound stays an upper bound.

@@ -22,17 +22,20 @@ since each then reports the largest singular value. CSV is emitted only
 for density scans. Exit codes: 0 on success, 2 for input problems (an
 input whose arrays cannot be allocated among them), 3 for numeric
 failures. The environment variable SPECBOUND_THREADS caps the threads
-used by the underlying linear algebra. Idle OpenBLAS workers sleep
-after 2^20 cycles (about 0.5 ms) instead of spinning for 2^28;
-OPENBLAS_THREAD_TIMEOUT overrides that. Both take effect only if they
-are set before numpy is first imported. The manifest's cpu_seconds
-counts the CPU time of every thread, next to its wall_clock_seconds.
+used by the underlying linear algebra; a value that is not a positive
+integer exits 2 before the source is read, and an empty one is unset.
+Idle OpenBLAS workers sleep after 2^20 cycles (about 0.5 ms) instead of
+spinning for 2^28; OPENBLAS_THREAD_TIMEOUT overrides that. Both take
+effect only if they are set before numpy is first imported. The
+manifest's cpu_seconds counts the CPU time of every thread, next to its
+wall_clock_seconds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -40,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _is_thread_count
 from .bounds import support_bound
 from .errors import InputError, NumericError
 from .linalg import _check_real, resolve_profile
@@ -227,6 +230,10 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started, cpu_started = time.perf_counter(), time.process_time()
     try:
+        threads = os.environ.get("SPECBOUND_THREADS", "")
+        if threads and not _is_thread_count(threads):
+            raise InputError("SPECBOUND_THREADS must be a positive integer, "
+                             f"got {threads!r}")
         if not args.profile:
             raise InputError("a matrix source is required: --profile NAME|PATH")
         seed = args.profile_seed

@@ -315,8 +315,13 @@ def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
     """Compute z_j = |S^j| / |S|^j for j = 1..J without forming powers.
 
     Uses the iteration u_0 = all-ones, u_j = S u_{j-1} / |S|, for which
-    max(u_j) = z_j.  At every even j the ratios u_j / u_{j-2} over the
-    rows where u_{j-2} > 0 are bracketed by [lo, hi] (Collatz-Wielandt).
+    max(u_j) = z_j.  The first iterate u_1 is the profile's ``row_sums``
+    over |S|, read, not formed again; OpenBLAS's product need not agree
+    bit for bit across thread counts, so a profile built at one thread
+    count and read at another takes the bits of its own row sums, as
+    every other layer does.  At every even j the ratios u_j / u_{j-2}
+    over the rows where u_{j-2} > 0 are bracketed by [lo, hi]
+    (Collatz-Wielandt).
     As S >= 0, u_j <= hi u_{j-2} gives z_{j+2k} <= hi^k z_j and
     z_{j-1+2k} <= hi^k z_{j-1}, so once the bracket closes to roundoff
     the remaining terms are filled from those two values and powers of
@@ -325,9 +330,9 @@ def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
     sequence stays valid.  Two steps apart, the iterates of a bipartite
     (Gram) profile, which alternate, settle too; on a reducible union of
     blocks of different radii the bracket never closes.  Cost is
-    min(J, steps until the bracket closes) matrix-vector products, as
-    |S| is read from the profile's row sums: a handful on most
-    profiles, whatever J is.
+    min(J, steps until the bracket closes) - 1 matrix-vector products,
+    as |S| and u_1 are read from the profile's row sums: a handful on
+    most profiles, whatever J is.
 
     Values are clamped into (0, 1] to absorb roundoff at the top end,
     and floored at the smallest positive normal double where the
@@ -346,7 +351,7 @@ def norm_sequence(s: VarianceMatrix, J: int) -> NormSequence:
     # u_{j-2} = 0 on every row makes u_j = 0 and hi NaN)
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(1, J + 1):
-            u = (entries @ old) / norm
+            u = (entries @ old if j > 1 else s.row_sums) / norm
             top = u.max()
             z[j - 1] = min(max(top, _TINY), 1.0)
             if j % 2 == 0:

@@ -25,7 +25,10 @@ sample's, so every trial's value equals the largest absolute eigenvalue
 of ``sample_matrix(...)`` for the same stream, by ``eigvalsh`` on one
 OpenBLAS thread, bit for bit. Memory peaks at the profile, its entry
 scales and one draw per worker: two draws at most, as much as one
-``eigvalsh`` call holds (its input and the copy it solves).
+``eigvalsh`` call holds (its input and the copy it solves). A complex
+draw is the sample alone: its real and imaginary parts are drawn in
+blocks of rows into the sample's own memory, so no real profile is held
+beside it.
 """
 
 from __future__ import annotations
@@ -103,6 +106,11 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
         entropy=_check_seed(seed), spawn_key=(_check_int("trial", trial, 0),)))
 
 
+# Rows of a complex sample's real or imaginary part that _draw draws at
+# once, into a real block of its own that it then copies into the part
+_ROWS = 64
+
+
 def _draw(sigma, ensemble, rng):
     """One sample's lower triangle, diagonal included, bit for bit.
 
@@ -118,14 +126,15 @@ def _draw(sigma, ensemble, rng):
         h = rng.standard_normal(sigma.shape)
         h *= sigma
     else:
-        # one real buffer takes both draws in turn, so no more than the
-        # complex sample and one real profile are alive at once
-        g = rng.standard_normal(sigma.shape)
+        # each part in blocks of rows, the same stream as one draw of the
+        # whole part, so no real profile is alive beside the sample; the
+        # parts are strided views, which standard_normal cannot fill
         h = np.empty(sigma.shape, dtype=complex)
-        h.real = g
-        diag = np.diag(sigma) * np.diag(g)
-        rng.standard_normal(out=g)
-        h.imag = g
+        for part in (h.real, h.imag):
+            for lo in range(0, len(part), _ROWS):
+                block = part[lo:lo + _ROWS]
+                block[...] = rng.standard_normal(block.shape)
+        diag = np.diag(sigma) * np.diag(h.real)
         h *= sigma
         h /= math.sqrt(2)
         np.conjugate(h, out=h)

@@ -388,9 +388,14 @@ def moment_recursion(s: VarianceMatrix, kmax: int) -> np.ndarray:
     ..., c_0 with S c_0, ..., S c_{k-1}, and one reduction of those k
     rows.  The reduction adds the terms in the order m = 0 .. k-1, as
     the formula's loop does, so the table equals the loop's bit for
-    bit.  The cost is kmax matrix-vector products and kmax (kmax + 1) / 2
-    vector products, O(kmax n^2 + kmax^2 n), in kmax steps.  Raises
-    NumericError as soon as an entry leaves double-precision range;
+    bit.  The first product S c_0 = S 1 is the profile's ``row_sums``,
+    read, not formed again; OpenBLAS's product need not agree bit for
+    bit across thread counts, so a profile built at one thread count and
+    read at another takes the bits of its own row sums, as every other
+    layer does.  The cost is max(kmax - 1, 0) matrix-vector products
+    and kmax (kmax + 1) / 2 vector products, O(kmax n^2 + kmax^2 n), in
+    kmax steps.  Raises NumericError as soon as an entry leaves
+    double-precision range;
     rescaling S by 1/a rescales c[x, k] by a^-k, so large profiles can
     be probed after scaling.
     """
@@ -405,7 +410,7 @@ def moment_recursion(s: VarianceMatrix, kmax: int) -> np.ndarray:
     c[0, :n] = 1.0
     for k in range(1, kmax + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            sc[k - 1, :n] = entries @ c[k - 1, :n]
+            sc[k - 1, :n] = entries @ c[k - 1, :n] if k > 1 else s.row_sums
             np.multiply(c[k - 1::-1], sc[:k], out=prod[:k])
             np.add.reduce(prod[:k], axis=0, out=c[k])
         if not np.all(np.isfinite(c[k])):

@@ -580,6 +580,42 @@ def test_module_entry_point_and_thread_cap():
     assert payload["improved_bound"] == pytest.approx(2.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5"])
+def test_invalid_thread_cap_exits_2_before_the_source(tmp_path, value):
+    # OpenBLAS takes 0, -3 and abc as every CPU and 1.5 as 1, so none is
+    # passed on; the missing file is never opened
+    proc = subprocess.run(
+        [sys.executable, "-m", "specbound.cli", "bound", "--profile", "missing.txt"],
+        cwd=tmp_path, capture_output=True, text=True,
+        env=src_env(SPECBOUND_THREADS=value), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: SPECBOUND_THREADS must be a positive "
+                           f"integer, got {value!r}\n")
+
+
+@pytest.mark.parametrize("value,exported", [("0", None), ("abc", None), ("3", "3")])
+def test_only_a_positive_thread_cap_is_passed_on(value, exported):
+    env = src_env(SPECBOUND_THREADS=value)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, specbound; "
+         "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+        capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert proc.stdout.strip() == str(exported)
+
+
+def test_empty_thread_cap_is_unset():
+    proc = subprocess.run(
+        [sys.executable, "-m", "specbound.cli", "bound",
+         "--profile", "wigner", "--n", "4", "--j", "2"],
+        capture_output=True, text=True, env=src_env(SPECBOUND_THREADS=""),
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["improved_bound"] == pytest.approx(2.0, abs=1e-9)
+
+
 def test_version_flag():
     proc = subprocess.run(
         [sys.executable, "-m", "specbound.cli", "--version"],

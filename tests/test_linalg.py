@@ -276,8 +276,31 @@ def test_certificate_never_stops_on_a_reducible_union(products):
     inf_norm(s)
     assert products[0] == 0  # |S| is read from the row sums
     z = norm_sequence(s, 50).z
-    assert products[0] == 50
+    assert products[0] == 49  # u_1 is read from the row sums too
     np.testing.assert_array_equal(z, full_norm_sequence(s, 50).z)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_profile(300, 7), lambda: exp_profile(200),
+    lambda: gram_linearize(np.random.default_rng(0).random((60, 120)) / 120)],
+    ids=["random300", "exp200", "gram60x120"])
+def test_first_terms_are_read_from_the_row_sums(products, make):
+    # S 1 is formed once, by VarianceMatrix: the norm sequence's first
+    # iterate is row_sums / |S| and the moments' first order is row_sums,
+    # bit for bit, so depth 1 makes no product and depth 2 makes one
+    s = make()
+    r, norm = s.row_sums, inf_norm(s)
+    products[0] = 0
+    z = norm_sequence(s, 1).z
+    table = moment_recursion(s, 1)
+    assert products[0] == 0
+    assert z.tolist() == [min((r / norm).max(), 1.0)]
+    assert np.array_equal(table[:, 1], r)
+    z = norm_sequence(s, 2).z
+    table = moment_recursion(s, 2)
+    assert products[0] == 2
+    assert z[1] == min((s.entries @ (r / norm) / norm).max(), 1.0)
+    assert np.array_equal(table[:, 2], r * r + s.entries @ r)
 
 
 # --------------------------------------------------------- gram_linearize

@@ -6,8 +6,8 @@ the file reader, builds it and VarianceMatrix adopts it without a copy,
 and the norm sequence and moment recursion add only O(J n + kmax n). An MC
 experiment holds the entry scales sqrt(S), one profile, and one draw
 per worker, at most two, which the eigensolver overwrites in place: one
-profile in the real-symmetric ensemble, and two, with a real profile
-beside them while it is drawn, in the complex-hermitian one. Each
+profile in the real-symmetric ensemble, and two in the complex-hermitian
+one, whose parts are drawn in blocks of rows into the sample itself. Each
 child interpreter measures its own peak resident set, so the numbers
 are not blurred by what the test session has allocated before.
 """
@@ -147,12 +147,14 @@ def test_load_matrix_peak_below_two_profiles(tmp_path):
 def test_mc_experiment_peak(ensemble, limit):
     growth = peak_growth(MC_CHILD, 1000, ensemble, "2")
     assert growth < limit, f"peak grew by {growth:.2f} profiles of 8 n^2 bytes"
-    # two workers at two threads: two draws alive at once
+    # two workers at two threads: two draws alive at once, and beside a
+    # complex one no real profile (S, sqrt(S) and two complex draws make 6)
+    two = 7.0 if ensemble == "complex-hermitian" else limit
     growth = peak_growth(MC_CHILD, 1000, ensemble, "4", threads="2")
-    assert growth < limit, (f"peak at two workers grew by {growth:.2f} "
-                            "profiles of 8 n^2 bytes")
+    assert growth < two, (f"peak at two workers grew by {growth:.2f} "
+                          "profiles of 8 n^2 bytes")
     # eight OpenBLAS threads and no cap in the environment: still two
     # workers, so still two draws
     growth = peak_growth(MC_CHILD, 1000, ensemble, "8", "8", threads="")
-    assert growth < limit, (f"peak at eight threads grew by {growth:.2f} "
-                            "profiles of 8 n^2 bytes")
+    assert growth < two, (f"peak at eight threads grew by {growth:.2f} "
+                          "profiles of 8 n^2 bytes")

@@ -11,6 +11,7 @@ import specbound.qve as qve
 from _dyck import enumerate_trees
 from _reductions import rank_one_edge
 from _treeval import tree_val_vector
+from test_linalg import block_union
 from specbound.bounds import support_bound
 from specbound.errors import ConvergenceError, InputError, NumericError
 from specbound.linalg import (
@@ -709,27 +710,60 @@ def test_edge_ceiling_work_guard(products, profile, most):
     assert 1 <= products[0] <= most
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(1, 7), log_a=st.floats(-8.0, 8.0))
-def test_edge_ceiling_bounds_every_dual_lower_bound(data, n, log_a):
-    # weak duality: L(p) = 2 sum sqrt(p S p) / sum p <= edge <= ceiling
-    # for every p >= 0 with S p != 0, on profiles with zero entries and
-    # rows, at every scale. L(p) is formed in 60-digit decimals, as its
-    # products can fall below the normal floats: on S = [[2.2250738585e-313]]
-    # and p = [0.6015625] they round L(p) in float64 up past the exact edge
-    # 2 sqrt(S) by 5.6e-12 relative
-    unit = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
-    a = np.array(data.draw(st.lists(unit, min_size=n * n, max_size=n * n))).reshape(n, n)
-    s = VarianceMatrix((a + a.T) / 2 * 10.0**log_a)
-    p = data.draw(st.lists(unit, min_size=n, max_size=n))
+def dual_lower(a, p):
+    """Weak duality's lower side L(p) = 2 sum sqrt(p S p) / sum p of the
+    edge of the profile ``a``, in 60-digit decimals, or None where
+    S p = 0.  Decimals, as the products can fall below the normal floats:
+    on S = [[2.2250738585e-313]] and p = [0.6015625] they round L(p) in
+    float64 up past the exact edge 2 sqrt(S) by 5.6e-12 relative."""
     with localcontext() as ctx:
         ctx.prec = 60
         p = [Decimal(v) for v in p]
-        sp = [sum(Decimal(v) * w for v, w in zip(row, p)) for row in s.entries.tolist()]
-        assume(any(sp))
-        lower = 2 * sum((v * w).sqrt() for v, w in zip(p, sp)) / sum(p)
+        sp = [sum(Decimal(v) * w for v, w in zip(row, p)) for row in a.tolist()]
+        if not any(sp):
+            return None
+        return 2 * sum((v * w).sqrt() for v, w in zip(p, sp)) / sum(p)
+
+
+UNIT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+def unit_profile(data, n, scale):
+    """A drawn symmetric n-by-n array with entries in [0, scale], zeros
+    among them."""
+    a = np.array(data.draw(st.lists(UNIT, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return (a + a.T) / 2 * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7), log_a=st.floats(-8.0, 8.0))
+def test_edge_ceiling_bounds_every_dual_lower_bound(data, n, log_a):
+    # weak duality: L(p) <= edge <= ceiling for every p >= 0 with
+    # S p != 0, on profiles with zero entries and rows, at every scale
+    s = VarianceMatrix(unit_profile(data, n, 10.0**log_a))
+    lower = dual_lower(s.entries, data.draw(st.lists(UNIT, min_size=n, max_size=n)))
+    assume(lower is not None)
     got = ceiling(s)
     assert lower <= Decimal(got) * (1 + Decimal("1e-12"))
+    assert got <= 2 * math.sqrt(inf_norm(s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), sizes=st.lists(st.integers(1, 4), min_size=2, max_size=3),
+       log_scales=st.lists(st.floats(-12.0, 4.0), min_size=3, max_size=3))
+def test_edge_ceiling_bounds_every_block_of_a_union(data, sizes, log_scales):
+    # a block-diagonal union of blocks at scales 1e-12 to 1e4: its edge is
+    # the largest block edge, so the ceiling is at least every block's
+    # L(p), for p = 1 and a drawn p on that block, however far the
+    # ascent's p drains the other blocks
+    blocks = [unit_profile(data, m, 10.0**k) for m, k in zip(sizes, log_scales)]
+    s = VarianceMatrix(block_union(*blocks))
+    got = ceiling(s)
+    for b in blocks:
+        for p in (np.ones(len(b)), data.draw(st.lists(UNIT, min_size=len(b),
+                                                      max_size=len(b)))):
+            lower = dual_lower(b, p)
+            assert lower is None or lower <= Decimal(got) * (1 + Decimal("1e-12"))
     assert got <= 2 * math.sqrt(inf_norm(s))
 
 
